@@ -45,6 +45,7 @@ from .chow import (
     format_rational,
     serre_chern,
     twist,
+    whitney_power,
     whitney_sum,
 )
 from .rank2 import (

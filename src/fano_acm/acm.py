@@ -14,7 +14,11 @@ and then its remaining Chern classes are forced:
 witness() realizes every strictly admissible (r, c1) as an explicit direct
 sum of catalog blocks: by census-table lookup for r <= 7, and for r >= 8 by
 peeling off S_E(1) (when c1 = r), S_C(1) (when c1 >= (r-2)/d + 1) or the
-rank-d block with c1 = 1 (otherwise).  oracle_enumerate() independently
+rank-d block with c1 = 1 (otherwise) down to a census row.  The peeling
+always runs as some S_C(1) steps followed by S_E(1) steps or rank-d steps,
+so the three step counts are computed in closed form: a witness at any
+rank costs the same handful of integer operations, and the returned
+Decomposition carries its block counts.  oracle_enumerate() independently
 brute-forces all such sums; every sum it finds carries the forced classes.
 
 The relaxed admissibility mode widens the lower bound to (r-1)/d <= c1
@@ -47,8 +51,6 @@ __all__ = [
     "NotAdmissible",
     "BoundExceeded",
     "AdmissibleTriple",
-    "forced_c2",
-    "forced_c3",
     "admissible",
     "enumerate_admissible",
     "make_triple",
@@ -139,18 +141,45 @@ def enumerate_admissible(
 
 
 # Rank-d block with c1 = 1, used by the third peeling case.
-_RANK_D_BLOCK = {3: Family.F31, 4: Family.F41, 5: Family.F51}
+_RANK_D_BLOCK = {
+    3: BlockId(Family.F31),
+    4: BlockId(Family.F41),
+    5: BlockId(Family.F51),
+}
 
 _SC1 = BlockId(Family.SC, 1)
 _SE1 = BlockId(Family.SE, 1)
 
 
-def _base_witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
-    # r <= 7: the census table covers every strictly admissible (r, c1)
-    for row in table1_rows():
-        if row.rank == rank and row.c1 == c1 and X.d in row.d_set:
-            return row.decomposition
-    raise AssertionError(f"no census row for d={X.d}, r={rank}, c1={c1}")
+# Census rows by (d, r, c1); for r <= 7 they cover every strictly admissible
+# (r, c1) and seed every witness.
+_SEEDS = {
+    (d, row.rank, row.c1): row.decomposition for row in table1_rows() for d in row.d_set
+}
+
+
+def _peel_counts(d: int, rank: int, c1: int) -> tuple[int, int, int]:
+    """Numbers of S_C(1), S_E(1) and rank-d steps peeled from a strictly
+    admissible (r, c1) before r <= 7.
+
+    A step applies while r > 7: S_E(1) when c1 = r, taking (r, c1) to
+    (r-2, r-2); else S_C(1) when d(c1-1) >= r-2, taking it to (r-2, c1-1);
+    else the rank-d block, taking it to (r-d, c1-1).  After j S_C(1) steps
+    the S_C(1) condition reads (d-2) j <= d(c1-1) - r + 2, so it only gets
+    harder; a rank-d step leaves it as it is and never reaches c1 = r.  The
+    run is therefore S_C(1)^a followed by S_E(1)^b or by rank-d^c.
+    """
+    sc = 0
+    if rank > 7 and c1 < rank and d * (c1 - 1) >= rank - 2:
+        sc = 1 + min(
+            (d * (c1 - 1) - rank + 2) // (d - 2), (rank - 8) // 2, rank - c1 - 1
+        )
+    rank, c1 = rank - 2 * sc, c1 - sc
+    if rank <= 7:
+        return sc, 0, 0
+    if c1 == rank:
+        return sc, (rank - 6) // 2, 0
+    return sc, 0, -(-(rank - 7) // d)
 
 
 def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
@@ -163,21 +192,13 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
         else:
             reason = f"c1 ≤ r fails ({c1} > {rank})"
         raise NotAdmissible(f"not admissible: {reason}")
-    return _witness(X, rank, c1)
-
-
-def _witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
-    assert admissible(X, rank, c1), (X.d, rank, c1)
-    if rank <= 7:
-        return _base_witness(X, rank, c1)
-    if c1 == rank:
-        rest = _witness(X, rank - 2, rank - 2)
-        return Decomposition(rest.blocks + (_SE1,))
-    if X.d * (c1 - 1) >= rank - 2:  # c1 >= (r-2)/d + 1, exactly
-        rest = _witness(X, rank - 2, c1 - 1)
-        return Decomposition(rest.blocks + (_SC1,))
-    rest = _witness(X, rank - X.d, c1 - 1)
-    return Decomposition(rest.blocks + (BlockId(_RANK_D_BLOCK[X.d]),))
+    sc, se, rd = _peel_counts(X.d, rank, c1)
+    seed = _SEEDS[(X.d, rank - 2 * (sc + se) - X.d * rd, c1 - sc - 2 * se - rd)]
+    if not (sc or se or rd):
+        return seed
+    return Decomposition(
+        counts=seed.counts + ((_SC1, sc), (_SE1, se), (_RANK_D_BLOCK[X.d], rd))
+    )
 
 
 @dataclass(frozen=True)
@@ -192,7 +213,11 @@ class Check:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The five witness checks, plus the Whitney total they were run on
+    (kept for callers that print it; not part of the json form)."""
+
     checks: tuple[Check, ...]
+    total: ChernData
 
     @property
     def ok(self) -> bool:
@@ -208,12 +233,12 @@ def validate_witness(
     """Check a decomposition against the target (d, r, c1): block
     availability, rank sum, c1 sum, forced (c2, c3), no trivial summands."""
     unavailable = sorted(
-        {b.family.value for b in dec.blocks if not block_available(b.family, X)}
+        {b.family.value for b, _ in dec.counts if not block_available(b.family, X)}
     )
     total = dec.chern(X)
     fc2 = forced_c2(X, rank, c1)
     fc3 = forced_c3(X, rank, c1)
-    trivial = [b for b in dec.blocks if b.family is Family.OV]
+    trivial = sum(k for b, k in dec.counts if b.family is Family.OV)
     checks = (
         Check(
             "availability",
@@ -232,10 +257,10 @@ def validate_witness(
         Check(
             "no_trivial_summands",
             not trivial,
-            "no trivial summands" if not trivial else f"{len(trivial)} trivial summand(s)",
+            "no trivial summands" if not trivial else f"{trivial} trivial summand(s)",
         ),
     )
-    return ValidationReport(checks)
+    return ValidationReport(checks, total)
 
 
 ORACLE_DEFAULT_BOUND = 12

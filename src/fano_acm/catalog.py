@@ -13,7 +13,8 @@ and reports mismatches; the stored data is never silently corrected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .chow import (
     ChernData,
@@ -24,6 +25,7 @@ from .chow import (
     forced_c2,
     forced_c3,
     twist,
+    whitney_power,
     whitney_sum,
 )
 
@@ -234,29 +236,61 @@ def _block_rank_c1(block: BlockId) -> tuple[int, int]:
 @dataclass(frozen=True)
 class Decomposition:
     """A multiset of blocks representing a direct sum, kept in canonical
-    (family, twist) order so equal multisets compare equal."""
+    (family, twist) order so equal multisets compare equal.
 
-    blocks: tuple[BlockId, ...]
+    ``counts`` holds the same multiset as (block, multiplicity) pairs with
+    distinct blocks in canonical order.  Give either ``blocks`` in any order
+    or ``counts`` (any order, repeats merged, zeros dropped); the other
+    field is derived once, at construction.  Building from counts costs
+    nothing per copy beyond filling the ``blocks`` tuple.
+    """
+
+    blocks: tuple[BlockId, ...] = ()
+    counts: tuple[tuple[BlockId, int], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple(sorted(self.blocks, key=BlockId.sort_key))
-        )
+        if self.counts is None:
+            pairs = tuple((b, 1) for b in self.blocks)
+        elif self.blocks:
+            raise ValueError("give a Decomposition its blocks or its counts, not both")
+        else:
+            pairs = self.counts
+        counts: list[tuple[BlockId, int]] = []
+        blocks: list[BlockId] = []
+        last = None
+        keyed = sorted(((b.sort_key(), b, k) for b, k in pairs), key=itemgetter(0))
+        for key, b, k in keyed:
+            if k < 0:
+                raise ValueError(f"negative count {k} of {b.render()}")
+            if not k:
+                continue
+            if key == last:
+                counts[-1] = (counts[-1][0], counts[-1][1] + k)
+            else:
+                counts.append((b, k))
+                last = key
+            blocks += [counts[-1][0]] * k
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def rank(self) -> int:
-        return sum(_block_rank_c1(b)[0] for b in self.blocks)
+        return sum(_block_rank_c1(b)[0] * k for b, k in self.counts)
 
     @property
     def c1(self) -> int:
-        return sum(_block_rank_c1(b)[1] for b in self.blocks)
+        return sum(_block_rank_c1(b)[1] * k for b, k in self.counts)
 
     def chern(self, X: FanoThreefold) -> ChernData:
-        """Whitney sum of the blocks (computed whether or not every block is
-        available on X; availability is validated separately)."""
+        """Whitney sum of the blocks, k copies of a block at a time
+        (computed whether or not every block is available on X;
+        availability is validated separately)."""
         total = ChernData.trivial(0)
-        for b in self.blocks:
-            total = whitney_sum(total, _block_chern_unchecked(b, X), X)
+        for b, k in self.counts:
+            copies = whitney_power(_block_chern_unchecked(b, X), X, k)
+            total = whitney_sum(total, copies, X)
         return total
 
     def render(self) -> str:

@@ -189,7 +189,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     X = FanoThreefold(args.d)
     dec = witness(X, args.rank, args.c1)  # NotAdmissible -> exit 2 in run()
     report = validate_witness(X, dec, args.rank, args.c1)
-    total = dec.chern(X)
+    total = report.total
     if args.format == "json":
         _emit_json(
             {
@@ -304,8 +304,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         _emit_csv(
             ["d", "rank", "c1", "decomposition", "c2", "c3"],
             [
-                [X.d, args.rank, args.c1, dec.render(), dec.chern(X).c2, dec.chern(X).c3]
+                [X.d, args.rank, args.c1, dec.render(), c.c2, c.c3]
                 for dec in decs
+                for c in (dec.chern(X),)
             ],
         )
     else:

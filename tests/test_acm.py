@@ -21,6 +21,7 @@ from fano_acm import (
     forced_c3,
     make_triple,
     oracle_enumerate,
+    table1_rows,
     validate_witness,
     witness,
 )
@@ -132,6 +133,63 @@ def test_witness_totality_up_to_rank_20():
                 dec = witness(X, r, c1)
                 report = validate_witness(X, dec, r, c1)
                 assert report.ok, (X.d, r, c1, report.to_json())
+
+
+def reference_witness(X, rank, c1):
+    """The witness by peeling one block per step, as the definition reads:
+    S_E(1) when c1 = r, S_C(1) when d(c1-1) >= r-2, else the rank-d block,
+    down to the census row at r <= 7."""
+    rank_d = {3: F31, 4: F41, 5: F51}[X.d]
+    peeled = []
+    while rank > 7:
+        if c1 == rank:
+            peeled.append(SE1)
+            rank, c1 = rank - 2, c1 - 2
+        elif X.d * (c1 - 1) >= rank - 2:
+            peeled.append(SC1)
+            rank, c1 = rank - 2, c1 - 1
+        else:
+            peeled.append(rank_d)
+            rank, c1 = rank - X.d, c1 - 1
+    (row,) = [
+        row for row in table1_rows()
+        if (row.rank, row.c1) == (rank, c1) and X.d in row.d_set
+    ]
+    return Decomposition(row.decomposition.blocks + tuple(peeled))
+
+
+def test_closed_form_witness_matches_stepwise_peeling():
+    for X in VARIETIES:
+        for r in range(3, 151):
+            for c1 in strict_c1_range(X, r):
+                assert witness(X, r, c1) == reference_witness(X, r, c1), (X.d, r, c1)
+
+
+def large_rank_c1_values(X, r):
+    """c1 = r (S_E(1) run), r - 1 (one S_C(1) step, then S_E(1)), the
+    smallest c1 with an S_C(1) step, (r-2)//d + 1 when admissible, and the
+    minimal c1 (rank-d run)."""
+    minimal = -(-r // X.d)
+    candidates = {r, r - 1, -(-(r - 2) // X.d) + 1, (r - 2) // X.d + 1, minimal}
+    return sorted(c1 for c1 in candidates if c1 >= minimal)
+
+
+@pytest.mark.parametrize("X", VARIETIES, ids=str)
+def test_witness_at_rank_one_million(X):
+    r = 10**6
+    for c1 in large_rank_c1_values(X, r):
+        dec = witness(X, r, c1)
+        report = validate_witness(X, dec, r, c1)
+        assert report.ok, (X.d, c1, report.to_json())
+        assert len(dec.counts) <= 4
+
+
+def test_validation_report_carries_total_outside_json():
+    X = FanoThreefold(4)
+    dec = witness(X, 30, 12)
+    report = validate_witness(X, dec, 30, 12)
+    assert report.total == dec.chern(X)
+    assert set(report.to_json()) == {"ok", "checks"}
 
 
 # --- validation --------------------------------------------------------------

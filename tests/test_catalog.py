@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fano_acm import (
     BLOCKS,
@@ -23,8 +25,11 @@ from fano_acm import (
     forced_c3,
     table1_rows,
     table_export_rows,
+    twist,
     verify_table1,
+    whitney_power,
     whitney_sum,
+    witness,
 )
 from support import VARIETIES
 
@@ -130,6 +135,74 @@ def test_decomposition_canonical_order_and_render():
     assert dec.render() == "S_C(1) ⊕ F_{3,1} ⊕ F_{3,1}"
     assert dec == Decomposition((BlockId(Family.F31), BlockId(Family.F31), SC1))
     assert dec.rank == 8 and dec.c1 == 3
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(list(Family)),
+    st.integers(-5, 5),
+    st.integers(0, 50),
+    st.sampled_from(VARIETIES),
+)
+def test_whitney_power_matches_iterated_whitney_sum(family, t, k, X):
+    # every family at every twist, available on X or not: the formula is
+    # pure Chern arithmetic
+    c = twist(BLOCKS[family].base_chern(X), X, t)
+    total = ChernData.trivial(0)
+    for _ in range(k):
+        total = whitney_sum(total, c, X)
+    assert whitney_power(c, X, k) == total
+
+
+def test_whitney_power_rejects_negative_copies():
+    with pytest.raises(ValueError):
+        whitney_power(ChernData.trivial(1), FanoThreefold(3), -1)
+
+
+def sample_decompositions():
+    decs = [row.decomposition for row in table1_rows()]
+    for X in VARIETIES:
+        for r, c1 in ((8, 3), (9, 3), (8, 8), (13, 5), (40, 17), (41, 40), (150, 50)):
+            if X.d * c1 >= r:
+                decs.append(witness(X, r, c1))
+    decs.append(Decomposition((SE1, BlockId(Family.OV), SC1, BlockId(Family.OV), SE1)))
+    decs.append(Decomposition(()))
+    return decs
+
+
+def test_decomposition_counts_expand_to_blocks():
+    for dec in sample_decompositions():
+        expanded = tuple(b for b, k in dec.counts for _ in range(k))
+        assert expanded == dec.blocks
+        distinct = [b for b, _ in dec.counts]
+        assert len(set(distinct)) == len(distinct)
+        assert all(k > 0 for _, k in dec.counts)
+        assert Decomposition(counts=tuple(reversed(dec.counts))) == dec
+
+
+def test_decomposition_from_counts_merges_and_drops_zeros():
+    dec = Decomposition(counts=((BlockId(Family.F31), 0), (SE1, 2), (SC1, 1), (SE1, 1)))
+    assert dec.counts == ((SC1, 1), (SE1, 3))
+    assert dec == Decomposition((SE1, SC1, SE1, SE1))
+    assert Decomposition(counts=()) == Decomposition(())
+
+
+def test_decomposition_rejects_bad_counts():
+    with pytest.raises(ValueError):
+        Decomposition(counts=((SC1, -1),))
+    with pytest.raises(ValueError):
+        Decomposition((SC1,), counts=((SC1, 1),))
+
+
+def test_decomposition_chern_matches_blockwise_whitney_sum():
+    for X in VARIETIES:
+        for dec in sample_decompositions():
+            total = ChernData.trivial(0)
+            for b in dec.blocks:
+                block = twist(BLOCKS[b.family].base_chern(X), X, b.twist)
+                total = whitney_sum(total, block, X)
+            assert dec.chern(X) == total
+            assert (dec.rank, dec.c1) == (total.rank, total.c1)
 
 
 def test_decomposition_json():

@@ -144,6 +144,17 @@ def test_witness_not_admissible_exit_2(capsys):
     assert err.strip() == "not admissible: r/d ≤ c1 fails (4/3 > 1)"
 
 
+def test_witness_at_rank_2500_exits_0_with_all_checks_ok(capsys):
+    code, out, err = invoke(capsys, ["witness", "--d", "3", "--rank", "2500", "--c1", "2500"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "V_3: rank 2500, c1=2500"
+    assert lines[1].startswith("witness: S_E(1) ⊕ ")
+    assert lines[1].count("S_E(1)") == 1250
+    assert len(lines[2:]) == 5
+    assert all(line.startswith("  [ok] ") for line in lines[2:])
+
+
 # --- verify-table --------------------------------------------------------------------
 
 def test_verify_table_human_all_degrees(capsys):
