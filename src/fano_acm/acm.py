@@ -18,8 +18,11 @@ rank-d block with c1 = 1 (otherwise) down to a census row.  The peeling
 always runs as some S_C(1) steps followed by S_E(1) steps or rank-d steps,
 so the three step counts are computed in closed form: a witness at any
 rank costs the same handful of integer operations, and the returned
-Decomposition carries its block counts.  oracle_enumerate() independently
-brute-forces all such sums; every sum it finds carries the forced classes.
+Decomposition carries its block counts.  Its ``blocks`` tuple lists every
+summand, so witness() refuses ranks above WITNESS_MAX_RANK with
+BoundExceeded (exit 1 on the command line) before it builds anything.
+oracle_enumerate() independently brute-forces all such sums; every sum it
+finds carries the forced classes.
 
 The relaxed admissibility mode widens the lower bound to (r-1)/d <= c1
 (dropping the section-count hypothesis); no witness is attempted there, and
@@ -60,6 +63,7 @@ __all__ = [
     "ValidationReport",
     "oracle_enumerate",
     "ORACLE_DEFAULT_BOUND",
+    "WITNESS_MAX_RANK",
 ]
 
 
@@ -72,7 +76,8 @@ class NotAdmissible(ValueError):
 
 
 class BoundExceeded(ValueError):
-    """Brute-force enumeration requested above its configured bound."""
+    """A query above a size bound: brute-force enumeration above its
+    configured bound, or a witness above WITNESS_MAX_RANK."""
 
 
 @dataclass(frozen=True)
@@ -182,9 +187,18 @@ def _peel_counts(d: int, rank: int, c1: int) -> tuple[int, int, int]:
     return sc, 0, -(-(rank - 7) // d)
 
 
+# Largest rank witness() expands.  Its blocks tuple holds up to r/2 entries
+# and its rendering about 9 characters per block: at this bound, building,
+# rendering and validating one witness peaks at about 45 MB.  Far above it
+# the expansion would fail with MemoryError (rank 10^18) or OverflowError
+# (rank 10^50).
+WITNESS_MAX_RANK = 10**6
+
+
 def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
     """An explicit direct sum of catalog blocks with the forced invariants
-    at (d, r, c1).  Raises NotAdmissible outside the strict range."""
+    at (d, r, c1).  Raises NotAdmissible outside the strict range, and
+    BoundExceeded for an admissible rank above WITNESS_MAX_RANK."""
     _check_rank(rank)
     if not admissible(X, rank, c1):
         if X.d * c1 < rank:
@@ -192,6 +206,8 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
         else:
             reason = f"c1 ≤ r fails ({c1} > {rank})"
         raise NotAdmissible(f"not admissible: {reason}")
+    if rank > WITNESS_MAX_RANK:
+        raise BoundExceeded(f"rank {rank} exceeds the witness bound {WITNESS_MAX_RANK}")
     sc, se, rd = _peel_counts(X.d, rank, c1)
     seed = _SEEDS[(X.d, rank - 2 * (sc + se) - X.d * rd, c1 - sc - 2 * se - rd)]
     if not (sc or se or rd):

@@ -141,13 +141,16 @@ def euler_char(c: ChernData, X: FanoThreefold) -> Fraction:
     Integrality is a property of the input being the Chern data of an actual
     sheaf; it is never assumed or enforced here.
     """
-    d = X.d
-    return (
-        Fraction(d * c.c1**3 - 3 * c.c1 * c.c2, 6)
-        + Fraction(d * c.c1**2 - 2 * c.c2, 2)
-        + Fraction((d + 3) * c.c1, 3)
-        + Fraction(c.c3, 2)
-        + c.rank
+    d, c1, c2 = X.d, c.c1, c.c2
+    return Fraction(
+        d * c1**3
+        - 3 * c1 * c2
+        + 3 * d * c1**2
+        - 6 * c2
+        + 2 * (d + 3) * c1
+        + 3 * c.c3
+        + 6 * c.rank,
+        6,
     )
 
 

@@ -6,14 +6,21 @@ csv.  Output is deterministic: identical invocations produce byte-identical
 output, so json/csv are safe for golden files.
 
 Exit codes: 0 success, 1 invalid input (bad flags, d outside {3,4,5},
-rank < 3), 2 valid query with a negative answer (no matching rank-2 model,
-or a non-admissible witness request).
+rank < 3, enumeration or witness bound exceeded), 2 valid query with a
+negative answer (no matching rank-2 model, or a non-admissible witness
+request).
+
+run() may be called any number of times in one process.  The argument
+parser is built once, on the first call, and reused: argparse keeps no
+per-parse state on a parser, so every call gives the same stdout, stderr and
+exit code as the same argv in a fresh process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -340,6 +347,7 @@ def _add_chern_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c3", type=int, required=True)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fano-acm",

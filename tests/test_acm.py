@@ -25,6 +25,7 @@ from fano_acm import (
     validate_witness,
     witness,
 )
+from fano_acm.acm import WITNESS_MAX_RANK
 from support import VARIETIES
 
 SC1 = BlockId(Family.SC, 1)
@@ -182,6 +183,19 @@ def test_witness_at_rank_one_million(X):
         report = validate_witness(X, dec, r, c1)
         assert report.ok, (X.d, c1, report.to_json())
         assert len(dec.counts) <= 4
+
+
+@pytest.mark.parametrize("X", VARIETIES, ids=str)
+def test_witness_above_rank_bound_raises_bound_exceeded(X):
+    for r in (WITNESS_MAX_RANK + 1, 10**18, 10**50):
+        for c1 in (r, r - 1, -(-r // X.d)):
+            with pytest.raises(BoundExceeded, match="exceeds the witness bound"):
+                witness(X, r, c1)
+    # outside the admissible range the answer stays NotAdmissible
+    with pytest.raises(NotAdmissible):
+        witness(X, 10**50, 1)
+    with pytest.raises(NotAdmissible):
+        witness(X, 10**50, 10**50 + 1)
 
 
 def test_validation_report_carries_total_outside_json():

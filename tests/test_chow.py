@@ -113,6 +113,34 @@ def test_chi_of_rank3_block_at_d5():
     assert euler_char(ChernData(3, 2, 8, 2), FanoThreefold(5)) == 10
 
 
+def euler_char_five_terms(c, X):
+    # Riemann-Roch term by term, as the five-Fraction sum it is stated as
+    d = X.d
+    return (
+        Fraction(d * c.c1**3 - 3 * c.c1 * c.c2, 6)
+        + Fraction(d * c.c1**2 - 2 * c.c2, 2)
+        + Fraction((d + 3) * c.c1, 3)
+        + Fraction(c.c3, 2)
+        + c.rank
+    )
+
+
+@st.composite
+def large_chern_data(draw):
+    return ChernData(
+        draw(st.integers(3, 10**9)),
+        draw(st.integers(-10**6, 10**6)),
+        draw(st.integers(-10**9, 10**9)),
+        draw(st.integers(-10**9, 10**9)),
+    )
+
+
+@settings(max_examples=500)
+@given(st.one_of(chern_data(), large_chern_data()), varieties)
+def test_euler_char_matches_five_term_formula(c, X):
+    assert euler_char(c, X) == euler_char_five_terms(c, X)
+
+
 def test_chi_twist_of_line_matches_cubic():
     for X in VARIETIES:
         for t in range(-6, 7):

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from fano_acm.cli import run
+from fano_acm.cli import _build_parser, run
 
 
 def invoke(capsys, argv):
@@ -155,6 +156,14 @@ def test_witness_at_rank_2500_exits_0_with_all_checks_ok(capsys):
     assert all(line.startswith("  [ok] ") for line in lines[2:])
 
 
+@pytest.mark.parametrize("rank", [10**18, 10**50])
+def test_witness_above_rank_bound_exits_1_with_one_line_error(capsys, rank):
+    code, out, err = invoke(capsys, ["witness", "--d", "3", "--rank", str(rank),
+                                     "--c1", str(rank)])
+    assert code == 1 and out == ""
+    assert err == f"error: rank {rank} exceeds the witness bound 1000000\n"
+
+
 # --- verify-table --------------------------------------------------------------------
 
 def test_verify_table_human_all_degrees(capsys):
@@ -229,6 +238,7 @@ def test_malformed_flags_exit_1(capsys):
         ["verify-table", "--format", "csv"],
         ["oracle", "--d", "5", "--rank", "8", "--c1", "3", "--format", "json"],
         ["witness", "--d", "5", "--rank", "12", "--c1", "4", "--format", "json"],
+        ["admissible", "--d", "3", "--rank", "9", "--relaxed", "--format", "csv"],
     ],
 )
 def test_byte_identical_reruns(capsys, argv):
@@ -236,6 +246,71 @@ def test_byte_identical_reruns(capsys, argv):
     second = invoke(capsys, argv)
     assert first == second
     assert first[0] == 0
+
+
+# Defaults after explicit flags, a usage error between good calls, and --help
+# (SystemExit 0) before a good call: whatever ran before, a call must not see it.
+MIXED_SEQUENCE = [
+    ["census", "--d", "3", "--max-rank", "6", "--relaxed", "--format", "csv"],
+    ["census", "--d", "3", "--max-rank", "6", "--format", "csv"],
+    ["chi", "--d", "4", "--rank", "2", "--c1", "1", "--c2", "2", "--c3", "0",
+     "--twist", "-1"],
+    ["chi", "--d", "4", "--rank", "2", "--c1", "1", "--c2", "2", "--c3", "0"],
+    ["oracle", "--d", "5", "--rank", "13", "--c1", "5", "--bound", "13",
+     "--format", "csv"],
+    ["oracle", "--d", "5", "--rank", "13", "--c1", "5", "--format", "csv"],
+    ["classify2", "--d", "3", "--c1", "0", "--c2", "1"],
+    ["chi", "--d", "3"],
+    ["classify2", "--d", "5", "--c1", "2", "--c2", "7", "--format", "json"],
+    ["--help"],
+    ["witness", "--d", "3", "--rank", "8", "--c1", "3"],
+    ["witness", "--help"],
+    ["verify-table", "--format", "json"],
+]
+
+
+def run_alone(argv):
+    """argv in a new process, as (exit code, stdout, stderr)."""
+    result = subprocess.run(
+        [sys.executable, "-m", "fano_acm", *argv],
+        capture_output=True,
+        encoding="utf-8",
+        env={**os.environ, "COLUMNS": "80", "PYTHONIOENCODING": "utf-8"},
+        timeout=60,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    _build_parser.cache_clear()
+    mixed = []
+    for argv in MIXED_SEQUENCE:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        mixed.append((code, captured.out, captured.err))
+    assert _build_parser.cache_info().misses == 1
+    assert mixed == [run_alone(argv) for argv in MIXED_SEQUENCE]
+    assert [code for code, _, _ in mixed] == [0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0]
+    assert mixed[0][1] != mixed[1][1]
+    assert "chi(F(-1)) = 0" in mixed[2][1] and "chi(F(0)) = " in mixed[3][1]
+    assert "exceeds the enumeration bound 12" in mixed[5][2]
+    assert mixed[9][1].startswith("usage: fano-acm")
+
+
+def test_import_does_not_build_the_parser():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import fano_acm, fano_acm.cli as cli; print(cli._build_parser.cache_info())"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "currsize=0" in result.stdout
 
 
 def test_verify_table_csv_matches_golden_file(capsys):
