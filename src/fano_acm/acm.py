@@ -27,10 +27,18 @@ finds carries the forced classes.
 The relaxed admissibility mode widens the lower bound to (r-1)/d <= c1
 (dropping the section-count hypothesis); no witness is attempted there, and
 existence is reported as unknown.
+
+Admissible triples come from one row generator, _admissible_rows(), which
+yields plain (d, rank, c1, c2, c3, curve_degree, curve_genus) tuples over a
+range of ranks.  enumerate_admissible() wraps them in AdmissibleTriple; the
+census command renders them directly.  The generator counts its rows in
+closed form before it builds the first one, and refuses more than
+ENUMERATE_MAX_TRIPLES with BoundExceeded (exit 1 on the command line).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .catalog import (
@@ -64,6 +72,7 @@ __all__ = [
     "oracle_enumerate",
     "ORACLE_DEFAULT_BOUND",
     "WITNESS_MAX_RANK",
+    "ENUMERATE_MAX_TRIPLES",
 ]
 
 
@@ -77,7 +86,8 @@ class NotAdmissible(ValueError):
 
 class BoundExceeded(ValueError):
     """A query above a size bound: brute-force enumeration above its
-    configured bound, or a witness above WITNESS_MAX_RANK."""
+    configured bound, an enumeration of more than ENUMERATE_MAX_TRIPLES
+    admissible triples, or a witness above WITNESS_MAX_RANK."""
 
 
 @dataclass(frozen=True)
@@ -135,14 +145,65 @@ def make_triple(X: FanoThreefold, rank: int, c1: int) -> AdmissibleTriple:
     )
 
 
+# Most admissible triples one enumeration builds: enumerate_admissible() at
+# one rank, or the census over 3 <= r <= max-rank.  The census of V_5 up to
+# rank 2000, relaxed, has 1,602,396 rows and stays inside the bound.  A
+# census row peaks at about 0.4 KB in csv or human output and 1.2 KB in
+# json (tracemalloc), so memory grows to gigabytes near the bound, and far
+# above it the enumeration would end in MemoryError.
+ENUMERATE_MAX_TRIPLES = 2 * 10**6
+
+
+def _ceil_sum(n: int, d: int) -> int:
+    """sum of ceil(m/d) over 1 <= m <= n (0 for n <= 0)."""
+    if n <= 0:
+        return 0
+    q, s = divmod(n, d)
+    return d * q * (q + 1) // 2 + s * (q + 1)
+
+
+def _admissible_count(d: int, max_rank: int, relaxed: bool) -> int:
+    """Number of admissible (r, c1) with 1 <= r <= max_rank: rank r has
+    r + 1 - ceil(lower/d) of them, lower being r, or r-1 when relaxed."""
+    n = max(max_rank, 0)
+    return n * (n + 3) // 2 - _ceil_sum(n - relaxed, d)
+
+
+def _admissible_rows(
+    X: FanoThreefold, ranks: range, relaxed: bool = False
+) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+    """(d, rank, c1, c2, c3, curve_degree, curve_genus) for every admissible
+    c1 at each rank of ``ranks`` (a step-1 range), ascending in rank, then
+    c1.  Before the first row it raises InvalidRank for a non-empty range
+    starting below 3, and BoundExceeded for more than ENUMERATE_MAX_TRIPLES
+    rows."""
+    if ranks:
+        _check_rank(ranks.start)
+    d = X.d
+    count = _admissible_count(d, ranks.stop - 1, relaxed) - _admissible_count(
+        d, ranks.start - 1, relaxed
+    )
+    if count > ENUMERATE_MAX_TRIPLES:
+        raise BoundExceeded(
+            f"{count} admissible triples exceed the enumeration bound "
+            f"{ENUMERATE_MAX_TRIPLES}"
+        )
+    for rank in ranks:
+        lower = rank - 1 if relaxed else rank
+        for c1 in range(-(-lower // d), rank + 1):  # ceil(lower / d); lower >= 2
+            degree, genus = curve_invariants(X, rank, c1)  # c2 is the degree
+            yield d, rank, c1, degree, forced_c3(X, rank, c1), degree, genus
+
+
 def enumerate_admissible(
     X: FanoThreefold, rank: int, relaxed: bool = False
 ) -> list[AdmissibleTriple]:
-    """All admissible triples at this rank, ascending in c1."""
-    _check_rank(rank)
-    lower = rank - 1 if relaxed else rank
-    c1_min = -(-lower // X.d)  # ceil(lower / d); lower >= 2 > 0
-    return [make_triple(X, rank, c1) for c1 in range(c1_min, rank + 1)]
+    """All admissible triples at this rank, ascending in c1.  Raises
+    BoundExceeded above ENUMERATE_MAX_TRIPLES triples."""
+    return [
+        AdmissibleTriple(*row)
+        for row in _admissible_rows(X, range(rank, rank + 1), relaxed)
+    ]
 
 
 # Rank-d block with c1 = 1, used by the third peeling case.

@@ -387,12 +387,12 @@ class Discrepancy:
     forced_c3: int
 
 
-def verify_table1(X: FanoThreefold) -> list[Discrepancy]:
-    """Recompute every census row applicable to X and report all mismatches.
-
-    Discrepancies are data, not errors: the verbatim table is the object
-    under test.
-    """
+def _checked_rows(
+    X: FanoThreefold,
+) -> list[tuple[TableRow, ChernData, Discrepancy | None]]:
+    """Every census row applicable to X, with the Whitney sum of its
+    decomposition and its Discrepancy (None when it matches), so that a
+    report listing both computes each total once."""
     out = []
     for row in _TABLE1:
         if X.d not in row.d_set:
@@ -409,14 +409,23 @@ def verify_table1(X: FanoThreefold) -> list[Discrepancy]:
             pc3,
         )
         forced_ok = (total.c2, total.c3) == (fc2, fc3)
+        disc = None
         if not (printed_ok and forced_ok):
-            out.append(
-                Discrepancy(
-                    X.d, row.rank, row.c1, pc2, pc3,
-                    total.c2, total.c3, fc2, fc3,
-                )
+            disc = Discrepancy(
+                X.d, row.rank, row.c1, pc2, pc3,
+                total.c2, total.c3, fc2, fc3,
             )
+        out.append((row, total, disc))
     return out
+
+
+def verify_table1(X: FanoThreefold) -> list[Discrepancy]:
+    """Recompute every census row applicable to X and report all mismatches.
+
+    Discrepancies are data, not errors: the verbatim table is the object
+    under test.
+    """
+    return [disc for _, _, disc in _checked_rows(X) if disc is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,17 @@ rank < 3, enumeration or witness bound exceeded), 2 valid query with a
 negative answer (no matching rank-2 model, or a non-admissible witness
 request).
 
+json output is json.dumps(payload, indent=2) byte for byte, but it is made
+by the stdlib's C encoder, which json.dumps leaves for a pure-Python one as
+soon as an indent is given.  A container holding no container is encoded
+in one C call whose item separator carries the newline and the indent; a
+list of such dicts (census and admissible triples, table rows) is encoded
+whole in one call and its joins re-indented; any other container encodes
+its scalars in one call and splices its nested containers in.  This is
+exact because an encoded string never contains a raw newline.  The census
+renders the plain rows of the admissible-triple generator directly in all
+three formats.
+
 run() may be called any number of times in one process.  The argument
 parser is built once, on the first call, and reused: argparse keeps no
 per-parse state on a parser, so every call gives the same stdout, stderr and
@@ -25,6 +36,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .acm import (
@@ -32,7 +44,7 @@ from .acm import (
     InvalidRank,
     NotAdmissible,
     ORACLE_DEFAULT_BOUND,
-    admissible,
+    _admissible_rows,
     enumerate_admissible,
     oracle_enumerate,
     validate_witness,
@@ -41,8 +53,8 @@ from .acm import (
 from .catalog import (
     TABLE_EXPORT_COLUMNS,
     UnavailableBlock,
+    _checked_rows,
     table_export_rows,
-    verify_table1,
 )
 from .chow import ChernData, FanoThreefold, chi_twist, format_rational, twist
 from .rank2 import NoACMBundle, SplitLineBundles, TwistOf, classify_rank2
@@ -72,8 +84,58 @@ def _rational_json(q: Fraction) -> int | str:
     return q.numerator if q.denominator == 1 else format_rational(q)
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+# No indent, so both encode in C; the separator does the indenting.
+_FLAT = json.JSONEncoder(separators=(",\n" + _INDENT, ": "))
+_ROWS = json.JSONEncoder(separators=(",\n" + 2 * _INDENT, ": "))
+
+
+def _holds_container(values) -> bool:
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _json_text(obj: object) -> str:
+    """json.dumps(obj, indent=2), through the C encoder."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _FLAT.encode(obj)
+    is_dict = isinstance(obj, dict)
+    if not _holds_container(obj.values() if is_dict else obj):
+        text = _FLAT.encode(obj)
+        return f"{text[0]}\n{_INDENT}{text[1:-1]}\n{text[-1]}"
+    if (
+        not is_dict
+        and all(issubclass(t, dict) for t in set(map(type, obj)))
+        and all(obj)
+        and not _holds_container(chain.from_iterable(map(dict.values, obj)))
+    ):
+        # Non-empty flat dicts, '[{..},\n    {..}]': only a dict join has a
+        # '}' before the separator, since a flat dict's values are scalars.
+        sep = ",\n" + 2 * _INDENT
+        text = _ROWS.encode(obj)[2:-2].replace(
+            "}" + sep + "{", f"\n{_INDENT}}},\n{_INDENT}{{\n{2 * _INDENT}"
+        )
+        return f"[\n{_INDENT}{{\n{2 * _INDENT}{text}\n{_INDENT}}}\n]"
+    # Nested containers go in as null, so one C call encodes the rest; as
+    # no encoded string holds a raw newline, the separator splits the items.
+    if is_dict:
+        values = list(obj.values())
+        text = _FLAT.encode(
+            {k: None if isinstance(v, _CONTAINERS) else v for k, v in obj.items()}
+        )
+    else:
+        values = obj
+        text = _FLAT.encode([None if isinstance(v, _CONTAINERS) else v for v in obj])
+    sep = ",\n" + _INDENT
+    items = text[1:-1].split(sep)
+    for i, value in enumerate(values):
+        if isinstance(value, _CONTAINERS):  # items[i] ends in 'null'
+            items[i] = items[i][:-4] + _json_text(value).replace("\n", "\n" + _INDENT)
+    return f"{text[0]}\n{_INDENT}{sep.join(items)}\n{text[-1]}"
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
@@ -222,37 +284,34 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
+_CENSUS_HEADER = _TRIPLE_HEADER + ["strict", "existence"]
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     X = FanoThreefold(args.d)
     rows = []
-    for rank in range(3, args.max_rank + 1):
-        for t in enumerate_admissible(X, rank, relaxed=args.relaxed):
-            strict = admissible(X, t.rank, t.c1)
-            rows.append((t, strict, "witnessed" if strict else "unknown"))
+    for row in _admissible_rows(X, range(3, args.max_rank + 1), args.relaxed):
+        strict = X.d * row[2] >= row[1]  # admissible(), as c1 <= r holds
+        rows.append((*row, strict, "witnessed" if strict else "unknown"))
     if args.format == "json":
         _emit_json(
             {
                 "d": X.d,
                 "max_rank": args.max_rank,
                 "relaxed": args.relaxed,
-                "triples": [
-                    {**t.to_json(), "strict": strict, "existence": existence}
-                    for t, strict, existence in rows
-                ],
+                "triples": [dict(zip(_CENSUS_HEADER, row)) for row in rows],
             }
         )
     elif args.format == "csv":
-        _emit_csv(
-            _TRIPLE_HEADER + ["strict", "existence"],
-            [_triple_row(t) + [strict, existence] for t, strict, existence in rows],
-        )
+        _emit_csv(_CENSUS_HEADER, rows)
     else:
-        print(f"{X}: admissible triples for 3 <= rank <= {args.max_rank}")
-        for t, strict, existence in rows:
-            print(
-                f"  r={t.rank} c1={t.c1}: c2={t.c2}, c3={t.c3}, "
-                f"degree {t.curve_degree}, genus {t.curve_genus} [{existence}]"
-            )
+        lines = [f"{X}: admissible triples for 3 <= rank <= {args.max_rank}\n"]
+        lines += [
+            f"  r={rank} c1={c1}: c2={c2}, c3={c3}, "
+            f"degree {degree}, genus {genus} [{existence}]\n"
+            for _, rank, c1, c2, c3, degree, genus, _, existence in rows
+        ]
+        sys.stdout.write("".join(lines))
     return 0
 
 
@@ -268,27 +327,26 @@ def _cmd_verify_table(args: argparse.Namespace) -> int:
         )
     else:
         for d in (3, 4, 5) if X is None else (X.d,):
-            Xd = FanoThreefold(d)
-            rows = table_export_rows(Xd)
-            flagged = {(disc.rank, disc.c1): disc for disc in verify_table1(Xd)}
+            rows = _checked_rows(FanoThreefold(d))
+            flagged = sum(disc is not None for _, _, disc in rows)
             print(
                 f"V_{d}: {len(rows)} applicable rows, "
-                f"{len(rows) - len(flagged)} match, {len(flagged)} mismatch"
+                f"{len(rows) - flagged} match, {flagged} mismatch"
             )
-            for row in rows:
-                disc = flagged.get((row["rank"], row["c1"]))
+            for row, total, disc in rows:
                 if disc is None:
                     print(
-                        f"  [ok] rank {row['rank']}, c1={row['c1']}: "
-                        f"(c2,c3)=({row['c2_computed']},{row['c3_computed']}), "
-                        f"{row['decomposition']}"
+                        f"  [ok] rank {row.rank}, c1={row.c1}: "
+                        f"(c2,c3)=({total.c2},{total.c3}), "
+                        f"{row.decomposition.render()}"
                     )
                 else:
                     print(
                         f"  [MISMATCH] rank {disc.rank}, c1={disc.c1}: printed "
                         f"(c2,c3)=({disc.printed_c2},{disc.printed_c3}), computed "
                         f"({disc.computed_c2},{disc.computed_c3}), forced "
-                        f"({disc.forced_c2},{disc.forced_c3}), {row['decomposition']}"
+                        f"({disc.forced_c2},{disc.forced_c3}), "
+                        f"{row.decomposition.render()}"
                     )
     return 0
 

@@ -25,7 +25,12 @@ from fano_acm import (
     validate_witness,
     witness,
 )
-from fano_acm.acm import WITNESS_MAX_RANK
+from fano_acm.acm import (
+    ENUMERATE_MAX_TRIPLES,
+    WITNESS_MAX_RANK,
+    _admissible_count,
+    _admissible_rows,
+)
 from support import VARIETIES
 
 SC1 = BlockId(Family.SC, 1)
@@ -80,6 +85,57 @@ def test_enumerate_admissible_ranges():
 
 def test_enumerate_admissible_relaxed_widens_lower_bound():
     assert [t.c1 for t in enumerate_admissible(FanoThreefold(3), 4, relaxed=True)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("X", VARIETIES, ids=str)
+def test_enumerate_admissible_matches_make_triple_up_to_rank_10_4(X):
+    for relaxed in (False, True):
+        for rank in [*range(3, 41), 99, 100, 1001, 9999, 10**4]:
+            expected = [
+                make_triple(X, rank, c1)
+                for c1 in range(rank + 1)
+                if admissible(X, rank, c1, relaxed=relaxed)
+            ]
+            assert enumerate_admissible(X, rank, relaxed=relaxed) == expected
+
+
+@pytest.mark.parametrize("X", VARIETIES, ids=str)
+def test_admissible_count_closed_form_matches_counting(X):
+    for relaxed in (False, True):
+        running = 0
+        for max_rank in range(3, 200):
+            running += sum(
+                admissible(X, max_rank, c1, relaxed=relaxed) for c1 in range(max_rank + 1)
+            )
+            count = _admissible_count(X.d, max_rank, relaxed)
+            assert count - _admissible_count(X.d, 2, relaxed) == running
+
+
+def test_rank_2000_census_fits_the_enumeration_bound():
+    d5 = FanoThreefold(5)
+    rows = _admissible_count(5, 2000, True) - _admissible_count(5, 2, True)
+    assert rows == 1_602_396 <= ENUMERATE_MAX_TRIPLES
+    assert next(_admissible_rows(d5, range(3, 2001), relaxed=True))[:3] == (5, 3, 1)
+
+
+@pytest.mark.parametrize("X", VARIETIES, ids=str)
+def test_enumeration_above_the_bound_raises_before_building_rows(X):
+    # the largest census that fits, then one rank more
+    max_rank = 3
+    while _admissible_count(X.d, max_rank + 1, False) - _admissible_count(
+        X.d, 2, False
+    ) <= ENUMERATE_MAX_TRIPLES:
+        max_rank += 1
+    assert next(_admissible_rows(X, range(3, max_rank + 1)))[1] == 3
+    with pytest.raises(BoundExceeded, match="exceed the enumeration bound 2000000"):
+        next(_admissible_rows(X, range(3, max_rank + 2)))
+    for rank in (10**8, 10**18, 10**50):
+        with pytest.raises(BoundExceeded):
+            enumerate_admissible(X, rank)
+        with pytest.raises(BoundExceeded):
+            next(_admissible_rows(X, range(3, rank), relaxed=True))
+    with pytest.raises(InvalidRank):
+        enumerate_admissible(X, 2)
 
 
 def test_triple_fields():

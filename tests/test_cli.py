@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fano_acm.cli import _build_parser, run
+from fano_acm import (
+    Decomposition,
+    FanoThreefold,
+    admissible,
+    make_triple,
+    table1_rows,
+)
+from fano_acm.cli import _build_parser, _json_text, run
 
 
 def invoke(capsys, argv):
@@ -126,6 +138,71 @@ def test_census_human(capsys):
     assert "r=3 c1=1" in out and "[witnessed]" in out
 
 
+def reference_census(d, max_rank, relaxed, fmt):
+    """census stdout, rendered the long way: make_triple per admissible c1,
+    admissible() for strictness, json.dumps(indent=2) and csv.writer."""
+    X = FanoThreefold(d)
+    rows = []
+    for rank in range(3, max_rank + 1):
+        for c1 in range(rank + 1):
+            if admissible(X, rank, c1, relaxed=relaxed):
+                strict = admissible(X, rank, c1)
+                rows.append((make_triple(X, rank, c1), strict,
+                             "witnessed" if strict else "unknown"))
+    if fmt == "json":
+        payload = {
+            "d": d, "max_rank": max_rank, "relaxed": relaxed,
+            "triples": [{**t.to_json(), "strict": s, "existence": e} for t, s, e in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus",
+                         "strict", "existence"])
+        writer.writerows([[t.d, t.rank, t.c1, t.c2, t.c3, t.curve_degree, t.curve_genus,
+                           s, e] for t, s, e in rows])
+        return buf.getvalue()
+    lines = [f"{X}: admissible triples for 3 <= rank <= {max_rank}"]
+    lines += [f"  r={t.rank} c1={t.c1}: c2={t.c2}, c3={t.c3}, "
+              f"degree {t.curve_degree}, genus {t.curve_genus} [{e}]" for t, _, e in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("max_rank", [2, 3, 4, 7, 8, 60])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_census_matches_reference_renderer(capsys, d, max_rank):
+    for relaxed in (False, True):
+        for fmt in ("human", "json", "csv"):
+            argv = ["census", "--d", str(d), "--max-rank", str(max_rank), "--format", fmt]
+            code, out, err = invoke(capsys, argv + ["--relaxed"] * relaxed)
+            assert (code, err) == (0, "")
+            assert out == reference_census(d, max_rank, relaxed, fmt)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["admissible", "--d", "3", "--rank", str(10**8)],
+        ["admissible", "--d", "5", "--rank", str(10**50), "--relaxed", "--format", "csv"],
+        ["census", "--d", "3", "--max-rank", str(10**5), "--format", "json"],
+        ["census", "--d", "5", "--max-rank", str(10**18), "--relaxed"],
+    ],
+)
+def test_enumeration_above_bound_exits_1_with_one_line_error(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" admissible triples exceed the enumeration bound 2000000\n")
+
+
+def test_enumeration_above_bound_prints_no_traceback():
+    code, out, err = run_alone(["census", "--d", "3", "--max-rank", str(10**18)])
+    assert (code, out) == (1, "")
+    assert err == ("error: 333333333333333334333333333333333330 admissible triples "
+                   "exceed the enumeration bound 2000000\n")
+
+
 # --- witness ------------------------------------------------------------------------
 
 def test_witness_json_valid(capsys):
@@ -172,6 +249,21 @@ def test_verify_table_human_all_degrees(capsys):
     assert "V_3: 20 applicable rows, 19 match, 1 mismatch" in out
     assert "V_4: 22 applicable rows, 21 match, 1 mismatch" in out
     assert "V_5: 23 applicable rows, 22 match, 1 mismatch" in out
+
+
+def test_verify_table_human_derives_each_total_once(capsys, monkeypatch):
+    degrees = []
+    chern = Decomposition.chern
+
+    def counted(self, X):
+        degrees.append(X.d)
+        return chern(self, X)
+
+    monkeypatch.setattr(Decomposition, "chern", counted)
+    code, _, _ = invoke(capsys, ["verify-table"])
+    assert code == 0
+    applicable = Counter(d for row in table1_rows() for d in row.d_set)
+    assert Counter(degrees) == applicable == {3: 20, 4: 22, 5: 23}
 
 
 def test_verify_table_csv_symbolic(capsys):
@@ -227,6 +319,51 @@ def test_malformed_flags_exit_1(capsys):
     assert invoke(capsys, ["chi", "--d", "3"])[0] == 1
     assert invoke(capsys, ["no-such-command"])[0] == 1
     assert invoke(capsys, [])[0] == 1
+
+
+# --- json encoding ----------------------------------------------------------------------
+
+_STRINGS = st.lists(
+    st.sampled_from(["a", "Z", "0", " ", "\n", "\t", '"', "\\", "{", "}", "[", "]",
+                     ",", ":", "},", ",\n  ", "⊕", "é", "\u0000", "\U0001f600"]),
+    max_size=6,
+).map("".join) | st.text(max_size=4)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | _STRINGS
+)
+_KEYS = _STRINGS | st.integers(min_value=-5, max_value=10**20) | st.booleans() | st.none()
+_FLAT_DICTS = st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=5), max_size=5)
+_JSON = st.recursive(
+    _SCALARS | _FLAT_DICTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=4)
+    | st.tuples(inner, inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_json_text_equals_indented_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {}, [], {"a": {}}, [[]], [{}], [{}, {"a": 1}], [{"a": 1}, {}],
+        {"triples": [{"a": "x},\n    {", "b": True}, {"a": 10**30, "b": 1}]},
+        [{"a": [1]}, {"b": 2}], [{"a": 1}, 2], [1, True, None, 1.5, "⊕"],
+        {"d": 3, "rows": [{"k": "},"}, {"k": "{"}], "x": {"y": [1, {"z": None}]}},
+    ],
+)
+def test_json_text_edge_cases(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
 
 
 # --- determinism -------------------------------------------------------------------------
