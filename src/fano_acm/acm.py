@@ -33,7 +33,10 @@ yields plain (d, rank, c1, c2, c3, curve_degree, curve_genus) tuples over a
 range of ranks.  enumerate_admissible() wraps them in AdmissibleTriple; the
 census command renders them directly.  The generator counts its rows in
 closed form before it builds the first one, and refuses more than
-ENUMERATE_MAX_TRIPLES with BoundExceeded (exit 1 on the command line).
+ENUMERATE_MAX_TRIPLES with BoundExceeded (exit 1 on the command line).  At
+fixed c1, c2, c3 and the genus are linear in r, so the generator evaluates
+the forced classes once per c1, at rank 2, and each row is a few integer
+additions (tests/test_identities.py proves the three splits).
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ __all__ = [
 
 
 class InvalidRank(ValueError):
-    """Rank below 3 where the higher-rank machinery applies."""
+    """Rank below 3 where the higher-rank machinery applies, or a negative
+    rank given to oracle_enumerate."""
 
 
 class NotAdmissible(ValueError):
@@ -147,10 +151,10 @@ def make_triple(X: FanoThreefold, rank: int, c1: int) -> AdmissibleTriple:
 
 # Most admissible triples one enumeration builds: enumerate_admissible() at
 # one rank, or the census over 3 <= r <= max-rank.  The census of V_5 up to
-# rank 2000, relaxed, has 1,602,396 rows and stays inside the bound.  A
-# census row peaks at about 0.4 KB in csv or human output and 1.2 KB in
-# json (tracemalloc), so memory grows to gigabytes near the bound, and far
-# above it the enumeration would end in MemoryError.
+# rank 2000, relaxed, has 1,602,396 rows and stays inside the bound.  The
+# census streams its rows, so the bound limits its run time (a few seconds
+# at the bound), not its memory; enumerate_admissible() returns a list, at
+# most this long.
 ENUMERATE_MAX_TRIPLES = 2 * 10**6
 
 
@@ -167,6 +171,12 @@ def _admissible_count(d: int, max_rank: int, relaxed: bool) -> int:
     r + 1 - ceil(lower/d) of them, lower being r, or r-1 when relaxed."""
     n = max(max_rank, 0)
     return n * (n + 3) // 2 - _ceil_sum(n - relaxed, d)
+
+
+def _lowest_c1(d: int, rank: int, relaxed: bool) -> int:
+    """ceil(lower / d), the least admissible c1 at a rank >= 3."""
+    lower = rank - 1 if relaxed else rank
+    return -(-lower // d)
 
 
 def _admissible_rows(
@@ -188,11 +198,22 @@ def _admissible_rows(
             f"{count} admissible triples exceed the enumeration bound "
             f"{ENUMERATE_MAX_TRIPLES}"
         )
+    if not ranks:
+        return
+    # Every row is its c1's rank-2 values plus a multiple of rank - 2:
+    # c2 = degree grows by 1, c3 by c1 and the genus by c1 - 1 per rank.
+    # The rank-2 part is computed once per c1, checks included.
+    lowest = _lowest_c1(d, ranks.start, relaxed)
+    at_rank_2 = [
+        (c1, *curve_invariants(X, 2, c1), forced_c3(X, 2, c1))
+        for c1 in range(lowest, ranks.stop)
+    ]
     for rank in ranks:
-        lower = rank - 1 if relaxed else rank
-        for c1 in range(-(-lower // d), rank + 1):  # ceil(lower / d); lower >= 2
-            degree, genus = curve_invariants(X, rank, c1)  # c2 is the degree
-            yield d, rank, c1, degree, forced_c3(X, rank, c1), degree, genus
+        s = rank - 2
+        first = _lowest_c1(d, rank, relaxed) - lowest
+        for c1, degree, genus, c3 in at_rank_2[first : rank + 1 - lowest]:
+            degree += s  # c2 is the degree
+            yield d, rank, c1, degree, c3 + c1 * s, degree, genus + (c1 - 1) * s
 
 
 def enumerate_admissible(
@@ -366,9 +387,12 @@ def oracle_enumerate(
     X: FanoThreefold, rank: int, c1: int, bound: int = ORACLE_DEFAULT_BOUND
 ) -> list[Decomposition]:
     """All multisets of eligible blocks with rank sum r and c1 sum c1,
-    by exhaustive search.  Raises BoundExceeded for rank above ``bound``."""
+    by exhaustive search.  Raises BoundExceeded for rank above ``bound``,
+    then InvalidRank for a negative rank."""
     if rank > bound:
         raise BoundExceeded(f"rank {rank} exceeds the enumeration bound {bound}")
+    if rank < 0:
+        raise InvalidRank(f"rank must be >= 0, got {rank}")
     candidates = [(b, *_block_rank_c1(b)) for b in _oracle_blocks(X)]
     found: list[Decomposition] = []
 

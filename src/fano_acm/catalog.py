@@ -8,19 +8,25 @@ This module stores their exact Chern data, their availability per degree d,
 and a verbatim transcription of the classical rank <= 7 census table (one
 historically misprinted entry included).  verify_table1 recomputes every row
 and reports mismatches; the stored data is never silently corrected.
+
+A block's Chern data at twist 0 depends only on its family and d, so it is
+cached per (family, variety), at most 30 entries filled on first use;
+twisted blocks are computed from it on each call, since twists are
+unbounded.  The symbolic table columns (polynomials in d) are read off the
+numeric Whitney sums at d = 3, 4, 5: every such sum is linear in d, so two
+degrees determine the polynomial and the third checks it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .chow import (
     ChernData,
     FanoThreefold,
-    _binom2,
-    _binom3,
     euler_char,
     forced_c2,
     forced_c3,
@@ -126,18 +132,6 @@ class DPoly:
     def __call__(self, d: int) -> int:
         return self.const + self.d_coeff * d
 
-    def __add__(self, other: "DPoly | int") -> "DPoly":
-        if isinstance(other, int):
-            other = DPoly(other)
-        return DPoly(self.const + other.const, self.d_coeff + other.d_coeff)
-
-    __radd__ = __add__
-
-    def __mul__(self, k: int) -> "DPoly":
-        return DPoly(self.const * k, self.d_coeff * k)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         if self.d_coeff == 0:
             return str(self.const)
@@ -222,9 +216,16 @@ def block_chern(block: BlockId, X: FanoThreefold) -> ChernData:
     return _block_chern_unchecked(block, X)
 
 
+@functools.cache
+def _base_chern(family: Family, X: FanoThreefold) -> ChernData:
+    # at most 10 families x 3 degrees; filled on first use
+    return BLOCKS[family].base_chern(X)
+
+
 def _block_chern_unchecked(block: BlockId, X: FanoThreefold) -> ChernData:
     # formulas evaluate at any d; availability is checked by callers that care
-    return twist(BLOCKS[block.family].base_chern(X), X, block.twist)
+    base = _base_chern(block.family, X)
+    return twist(base, X, block.twist) if block.twist else base
 
 
 def _block_rank_c1(block: BlockId) -> tuple[int, int]:
@@ -287,11 +288,13 @@ class Decomposition:
         """Whitney sum of the blocks, k copies of a block at a time
         (computed whether or not every block is available on X;
         availability is validated separately)."""
-        total = ChernData.trivial(0)
+        total = None
         for b, k in self.counts:
-            copies = whitney_power(_block_chern_unchecked(b, X), X, k)
-            total = whitney_sum(total, copies, X)
-        return total
+            copies = _block_chern_unchecked(b, X)
+            if k != 1:
+                copies = whitney_power(copies, X, k)
+            total = copies if total is None else whitney_sum(total, copies, X)
+        return ChernData.trivial(0) if total is None else total
 
     def render(self) -> str:
         return " ⊕ ".join(b.render() for b in self.blocks)
@@ -428,47 +431,16 @@ def verify_table1(X: FanoThreefold) -> list[Discrepancy]:
     return [disc for _, _, disc in _checked_rows(X) if disc is not None]
 
 
-# ---------------------------------------------------------------------------
-# Symbolic (polynomial-in-d) recomputation, used by the table export so the
-# misprint can be exhibited uniformly in d rather than per degree.
-
-def _poly_twist(
-    rank: int, c1: int, c2: DPoly, c3: DPoly, t: int
-) -> tuple[int, int, DPoly, DPoly]:
-    r = rank
-    c2t = c2 + DPoly(0, (r - 1) * t * c1 + _binom2(r) * t * t)
-    c3t = (
-        c3
-        + (r - 2) * t * c2
-        + DPoly(0, _binom2(r - 1) * c1 * t * t + _binom3(r) * t**3)
-    )
-    return r, c1 + r * t, c2t, c3t
-
-
-def _poly_block_chern(block: BlockId) -> tuple[int, int, DPoly, DPoly]:
-    spec = BLOCKS[block.family]
-    c2, c3 = _BASE_TAIL[block.family]
-    return _poly_twist(spec.rank, spec.base_c1, c2, c3, block.twist)
-
-
-def _poly_whitney(
-    a: tuple[int, int, DPoly, DPoly], b: tuple[int, int, DPoly, DPoly]
-) -> tuple[int, int, DPoly, DPoly]:
-    ra, c1a, c2a, c3a = a
-    rb, c1b, c2b, c3b = b
-    return (
-        ra + rb,
-        c1a + c1b,
-        c2a + c2b + DPoly(0, c1a * c1b),
-        c3a + c3b + c1a * c2b + c1b * c2a,
-    )
-
-
-def _poly_decomposition_chern(dec: Decomposition) -> tuple[int, int, DPoly, DPoly]:
-    total = (0, 0, DPoly(0), DPoly(0))
-    for b in dec.blocks:
-        total = _poly_whitney(total, _poly_block_chern(b))
-    return total
+def _linear_in_d(values: tuple[int, int, int]) -> DPoly:
+    """The DPoly through the values at d = 3, 4, 5.  Every Whitney sum of
+    catalog blocks is linear in d (c1 is free of d, c2 and c3 are linear,
+    and twist and Whitney sums keep that shape), so the first two values
+    determine it and the third confirms it."""
+    f3, f4, f5 = values
+    coef = f4 - f3
+    if f5 - f4 != coef:
+        raise ValueError(f"internal error: {values} at d = 3, 4, 5 is not linear in d")
+    return DPoly(f3 - 3 * coef, coef)
 
 
 TABLE_EXPORT_COLUMNS = (
@@ -492,16 +464,21 @@ def table_export_rows(X: FanoThreefold | None = None) -> list[dict]:
     polynomials in d (rendered like "4d+12").
     """
     out = []
+    # the polynomial columns are read off the totals at d = 3, 4, 5
+    varieties = [FanoThreefold(d) for d in (3, 4, 5)] if X is None else []
     for row in _TABLE1:
         if X is not None and X.d not in row.d_set:
             continue
         if X is None:
-            _, c1c, c2c, c3c = _poly_decomposition_chern(row.decomposition)
+            totals = [row.decomposition.chern(V) for V in varieties]
+            c1c = totals[0].c1
+            c2c = _linear_in_d(tuple(t.c2 for t in totals))
+            c3c = _linear_in_d(tuple(t.c3 for t in totals))
+            ok = c1c == row.c1 and c2c == row.c2_printed and c3c == row.c3_printed
             pc2: object = str(row.c2_printed)
             pc3: object = str(row.c3_printed)
             cc2: object = str(c2c)
             cc3: object = str(c3c)
-            ok = c1c == row.c1 and c2c == row.c2_printed and c3c == row.c3_printed
         else:
             total = row.decomposition.chern(X)
             pc2, pc3 = row.c2_printed(X.d), row.c3_printed(X.d)

@@ -6,20 +6,25 @@ csv.  Output is deterministic: identical invocations produce byte-identical
 output, so json/csv are safe for golden files.
 
 Exit codes: 0 success, 1 invalid input (bad flags, d outside {3,4,5},
-rank < 3, enumeration or witness bound exceeded), 2 valid query with a
-negative answer (no matching rank-2 model, or a non-admissible witness
-request).
+rank < 3, or < 0 for oracle, enumeration or witness bound exceeded), 2 valid
+query with a negative answer (no matching rank-2 model, or a non-admissible
+witness request).
 
 json output is json.dumps(payload, indent=2) byte for byte, but it is made
 by the stdlib's C encoder, which json.dumps leaves for a pure-Python one as
 soon as an indent is given.  A container holding no container is encoded
 in one C call whose item separator carries the newline and the indent; a
-list of such dicts (census and admissible triples, table rows) is encoded
+list of such dicts (admissible triples, table rows) is encoded
 whole in one call and its joins re-indented; any other container encodes
 its scalars in one call and splices its nested containers in.  This is
-exact because an encoded string never contains a raw newline.  The census
-renders the plain rows of the admissible-triple generator directly in all
-three formats.
+exact because an encoded string never contains a raw newline.
+
+The census fills one "%" row template per format and existence value with
+the plain rows of the admissible-triple generator (the json template is
+what json.dumps(indent=2) makes of a row's dict; csv and human need no
+quoting).  It streams: rows are rendered in chunks of a few thousand and
+each chunk is written with one call, so memory stays flat at any rank and
+only the first and last writes carry the header and the closing lines.
 
 run() may be called any number of times in one process.  The argument
 parser is built once, on the first call, and reused: argparse keeps no
@@ -36,7 +41,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from .acm import (
@@ -285,33 +290,66 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 _CENSUS_HEADER = _TRIPLE_HEADER + ["strict", "existence"]
+_EXISTENCE = (("False", "unknown"), ("True", "witnessed"))
+
+# Census row templates per format, (not strict, strict), each filled by
+# "%" with one (d, rank, c1, c2, c3, curve_degree, curve_genus) row of the
+# admissible-triple generator; "%.0s" drops d.  The json one is what
+# json.dumps(indent=2) makes of the row's dict inside the "triples" list.
+_CENSUS_ROW = {
+    "json": tuple(
+        "    {\n"
+        + "".join(f'      "{key}": %s,\n' for key in _TRIPLE_HEADER)
+        + f'      "strict": {strict.lower()},\n      "existence": "{existence}"\n    }}'
+        for strict, existence in _EXISTENCE
+    ),
+    "csv": tuple(f"{'%s,' * 7}{strict},{existence}\n" for strict, existence in _EXISTENCE),
+    "human": tuple(
+        f"%.0s  r=%s c1=%s: c2=%s, c3=%s, degree %s, genus %s [{existence}]\n"
+        for _, existence in _EXISTENCE
+    ),
+}
+_CENSUS_CHUNK_ROWS = 4096
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    """Streams the rows in chunks of _CENSUS_CHUNK_ROWS, one write each.
+    Every refusal of the row generator comes before its first row, so
+    before anything is written."""
     X = FanoThreefold(args.d)
-    rows = []
-    for row in _admissible_rows(X, range(3, args.max_rank + 1), args.relaxed):
-        strict = X.d * row[2] >= row[1]  # admissible(), as c1 <= r holds
-        rows.append((*row, strict, "witnessed" if strict else "unknown"))
+    d = X.d
+    rows = _admissible_rows(X, range(3, args.max_rank + 1), args.relaxed)
+    templates = _CENSUS_ROW[args.format]
     if args.format == "json":
-        _emit_json(
-            {
-                "d": X.d,
-                "max_rank": args.max_rank,
-                "relaxed": args.relaxed,
-                "triples": [dict(zip(_CENSUS_HEADER, row)) for row in rows],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(_CENSUS_HEADER, rows)
+        # the payload without triples ends '"triples": []\n}\n'
+        empty = _json_text(
+            {"d": d, "max_rank": args.max_rank, "relaxed": args.relaxed, "triples": []}
+        ) + "\n"
+        head, sep, end = empty[:-4] + "\n", ",\n", "\n  ]\n}\n"
     else:
-        lines = [f"{X}: admissible triples for 3 <= rank <= {args.max_rank}\n"]
-        lines += [
-            f"  r={rank} c1={c1}: c2={c2}, c3={c3}, "
-            f"degree {degree}, genus {genus} [{existence}]\n"
-            for _, rank, c1, c2, c3, degree, genus, _, existence in rows
+        if args.format == "csv":
+            head = ",".join(_CENSUS_HEADER) + "\n"
+        else:
+            head = f"{X}: admissible triples for 3 <= rank <= {args.max_rank}\n"
+        empty, sep, end = head, "", ""
+
+    def chunk() -> str | None:
+        rendered = [
+            templates[d * row[2] >= row[1]] % row  # strict: admissible(), as c1 <= r
+            for row in islice(rows, _CENSUS_CHUNK_ROWS)
         ]
-        sys.stdout.write("".join(lines))
+        return sep.join(rendered) if rendered else None
+
+    write = sys.stdout.write
+    text = chunk()
+    if text is None:
+        write(empty)
+        return 0
+    text = head + text
+    while (more := chunk()) is not None:
+        write(text)
+        text = sep + more
+    write(text + end)
     return 0
 
 

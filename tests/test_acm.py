@@ -325,6 +325,14 @@ def test_oracle_bound():
     assert oracle_enumerate(FanoThreefold(3), 13, 5, bound=13)
 
 
+def test_oracle_refuses_a_negative_rank():
+    for rank in (-1, -5, -(10**50)):
+        with pytest.raises(InvalidRank, match=f"rank must be >= 0, got {rank}"):
+            oracle_enumerate(FanoThreefold(3), rank, 2)
+    assert oracle_enumerate(FanoThreefold(3), 0, 0) == [Decomposition(())]
+    assert oracle_enumerate(FanoThreefold(3), 1, 0) == []
+
+
 def test_oracle_excludes_trivial_and_sl_blocks():
     for decs in (oracle_enumerate(FanoThreefold(5), 6, 2),
                  oracle_enumerate(FanoThreefold(5), 4, 1)):

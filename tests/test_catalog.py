@@ -31,6 +31,7 @@ from fano_acm import (
     whitney_sum,
     witness,
 )
+from fano_acm.catalog import _base_chern, _linear_in_d
 from support import VARIETIES
 
 SC1 = BlockId(Family.SC, 1)
@@ -282,6 +283,26 @@ def test_dpoly_rendering():
     assert str(DPoly(0, 7)) == "7d"
     assert str(DPoly(-2, 1)) == "d-2"
     assert DPoly(2, 4)(5) == 22
+
+
+def test_base_chern_cache_holds_one_entry_per_family_and_degree():
+    twists = list(range(-(10**6), 10**6 + 1, 9973)) + [10**6]
+    for X in VARIETIES:
+        for family in Family:
+            for t in twists:
+                dec = Decomposition((BlockId(family, t), BlockId(family, -t)))
+                assert dec.chern(X) == whitney_sum(
+                    twist(BLOCKS[family].base_chern(X), X, t),
+                    twist(BLOCKS[family].base_chern(X), X, -t),
+                    X,
+                )
+    assert _base_chern.cache_info().currsize <= len(Family) * len(VARIETIES) == 30
+
+
+def test_linear_in_d_rejects_three_points_off_a_line():
+    assert _linear_in_d((7, 11, 15)) == DPoly(-5, 4)
+    with pytest.raises(ValueError, match="internal error: .* not linear in d"):
+        _linear_in_d((9, 16, 25))
 
 
 def test_table_export_symbolic():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -180,6 +182,58 @@ def test_census_matches_reference_renderer(capsys, d, max_rank):
             assert out == reference_census(d, max_rank, relaxed, fmt)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5]),
+    st.integers(min_value=-2, max_value=120),
+    st.booleans(),
+    st.sampled_from(["human", "json", "csv"]),
+)
+def test_census_matches_reference_renderer_anywhere(d, max_rank, relaxed, fmt):
+    argv = ["census", "--d", str(d), "--max-rank", str(max_rank), "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + ["--relaxed"] * relaxed)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == reference_census(d, max_rank, relaxed, fmt)
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = self.writes = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        self.writes += 1
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_census_streams_in_bounded_memory():
+    peaks = {}
+    for max_rank in (300, 1000):
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = run(["census", "--d", "5", "--max-rank", str(max_rank),
+                            "--relaxed", "--format", "json"])
+            peaks[max_rank] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert sink.writes == -(-401_196 // 4096)  # one write per chunk of rows
+    # 3.3 times the rank, 11 times the rows and bytes (88 MB of json at rank
+    # 1000); the peak may grow by no more than one json chunk of 4096 rows
+    # (about 1 MB) plus the per-c1 table
+    assert sink.chars > 80 * 2**20
+    assert peaks[1000] - peaks[300] < 2**20
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -298,6 +352,15 @@ def test_oracle_json(capsys):
     rendered = [dec["rendered"] for dec in payload["decompositions"]]
     assert "F_{7,2}" in rendered
     assert "F_{3,1} ⊕ F_{4,1}" in rendered
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_oracle_negative_rank_is_input_error(capsys, fmt):
+    code, out, err = invoke(capsys, ["oracle", "--d", "3", "--rank", "-5", "--c1", "2",
+                                     "--format", fmt])
+    assert (code, out, err) == (1, "", "error: rank must be >= 0, got -5\n")
+    code, out, _ = invoke(capsys, ["oracle", "--d", "3", "--rank", "0", "--c1", "0"])
+    assert code == 0 and out.startswith("V_3: rank 0, c1=0: 1 decomposition(s)")
 
 
 def test_oracle_bound_exceeded_is_input_error(capsys):
