@@ -10,11 +10,13 @@ historically misprinted entry included).  verify_table1 recomputes every row
 and reports mismatches; the stored data is never silently corrected.
 
 A block's Chern data at twist 0 depends only on its family and d, so it is
-cached per (family, variety), at most 30 entries filled on first use;
-twisted blocks are computed from it on each call, since twists are
-unbounded.  The symbolic table columns (polynomials in d) are read off the
-numeric Whitney sums at d = 3, 4, 5: every such sum is linear in d, so two
-degrees determine the polynomial and the third checks it.
+cached per (family, variety), at most 30 entries filled on first use.  So
+is its data at twist 1, which covers S_C(1) and S_E(1), the only twisted
+blocks of the table and of every witness; other twists are computed on
+each call, since they are unbounded.  The symbolic table columns
+(polynomials in d) are read off the numeric Whitney sums at d = 3, 4, 5:
+every such sum is linear in d, so two degrees determine the polynomial and
+the third checks it.
 """
 
 from __future__ import annotations
@@ -222,10 +224,19 @@ def _base_chern(family: Family, X: FanoThreefold) -> ChernData:
     return BLOCKS[family].base_chern(X)
 
 
+@functools.cache
+def _twist1_chern(family: Family, X: FanoThreefold) -> ChernData:
+    # at most 10 families x 3 degrees; filled on first use
+    return twist(_base_chern(family, X), X, 1)
+
+
 def _block_chern_unchecked(block: BlockId, X: FanoThreefold) -> ChernData:
     # formulas evaluate at any d; availability is checked by callers that care
-    base = _base_chern(block.family, X)
-    return twist(base, X, block.twist) if block.twist else base
+    if not block.twist:
+        return _base_chern(block.family, X)
+    if block.twist == 1:
+        return _twist1_chern(block.family, X)
+    return twist(_base_chern(block.family, X), X, block.twist)
 
 
 def _block_rank_c1(block: BlockId) -> tuple[int, int]:

@@ -27,9 +27,13 @@ each chunk is written with one call, so memory stays flat at any rank and
 only the first and last writes carry the header and the closing lines.
 
 run() may be called any number of times in one process.  The argument
-parser is built once, on the first call, and reused: argparse keeps no
+parsers are built once, on the first call, and reused: argparse keeps no
 per-parse state on a parser, so every call gives the same stdout, stderr and
-exit code as the same argv in a fresh process.
+exit code as the same argv in a fresh process.  An argv whose first token
+names a subcommand is parsed once, by that subcommand's parser; the
+top-level parser would only hand it the rest of the argv unchanged, so the
+namespace, usage errors and help are the same.  Any other argv (empty, an
+unknown command, --help) goes through the top-level parser.
 """
 
 from __future__ import annotations
@@ -444,7 +448,8 @@ def _add_chern_flags(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(
         prog="fano-acm",
         description="Exact Chern class / Riemann-Roch calculus and ACM-bundle "
@@ -499,13 +504,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=ORACLE_DEFAULT_BOUND)
     p.set_defaults(func=_cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

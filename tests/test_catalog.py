@@ -31,7 +31,7 @@ from fano_acm import (
     whitney_sum,
     witness,
 )
-from fano_acm.catalog import _base_chern, _linear_in_d
+from fano_acm.catalog import _base_chern, _linear_in_d, _twist1_chern
 from support import VARIETIES
 
 SC1 = BlockId(Family.SC, 1)
@@ -297,6 +297,27 @@ def test_base_chern_cache_holds_one_entry_per_family_and_degree():
                     X,
                 )
     assert _base_chern.cache_info().currsize <= len(Family) * len(VARIETIES) == 30
+
+
+def test_twist1_cache_holds_one_entry_per_family_and_degree():
+    twists = list(range(-(10**6), 10**6 + 1, 9973)) + [10**6, 1, 0, -1]
+    for X in VARIETIES:
+        for family in Family:
+            base = BLOCKS[family].base_chern(X)
+            for t in twists:
+                dec = Decomposition((BlockId(family, t), BlockId(family, 1)))
+                assert dec.chern(X) == whitney_sum(
+                    twist(base, X, t), twist(base, X, 1), X
+                )
+    assert _twist1_chern.cache_info().currsize <= len(Family) * len(VARIETIES) == 30
+    for X in VARIETIES:
+        for family in Family:
+            base = BLOCKS[family].base_chern(X)
+            assert _twist1_chern(family, X) == twist(base, X, 1)
+            if block_available(family, X):
+                assert block_chern(BlockId(family, 1), X) == twist(
+                    block_chern(BlockId(family), X), X, 1
+                )
 
 
 def test_linear_in_d_rejects_three_points_off_a_line():

@@ -24,7 +24,7 @@ from fano_acm import (
     make_triple,
     table1_rows,
 )
-from fano_acm.cli import _build_parser, _json_text, run
+from fano_acm.cli import _build_parser, _json_text, _UsageError, run
 
 
 def invoke(capsys, argv):
@@ -499,6 +499,74 @@ def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch):
     assert "chi(F(-1)) = 0" in mixed[2][1] and "chi(F(0)) = " in mixed[3][1]
     assert "exceeds the enumeration bound 12" in mixed[5][2]
     assert mixed[9][1].startswith("usage: fano-acm")
+
+
+def _parse(parser, argv):
+    """What parsing argv does: (namespace without command, usage error or
+    SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+            args.pop("command", None)
+            outcome = ("args", args)
+        except _UsageError as exc:
+            outcome = ("usage", str(exc))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+    return outcome, out.getvalue(), err.getvalue()
+
+
+_INT = ("0", "3", "8", "-1", "-5_0", "5_0", " 3", "+3")
+_COMMON = {"--d": ("3", "4", "5"), "--format": ("human", "json", "csv")}
+_BAD = ("x", "", "7", "xml", "1.5", "--d")
+_CHERN = {"--rank": _INT, "--c1": _INT, "--c2": _INT, "--c3": _INT}
+# Each subcommand's flags with values to draw for them (None: takes none).
+_OPTIONS = {
+    "chi": {**_COMMON, **_CHERN, "--twist": _INT},
+    "twist": {**_COMMON, **_CHERN, "--t": _INT},
+    "classify2": {**_COMMON, "--c1": _INT, "--c2": _INT},
+    "admissible": {**_COMMON, "--rank": _INT, "--relaxed": None},
+    "witness": {**_COMMON, "--rank": _INT, "--c1": _INT},
+    "census": {**_COMMON, "--max-rank": _INT, "--relaxed": None},
+    "verify-table": _COMMON,
+    "oracle": {**_COMMON, "--rank": _INT, "--c1": _INT, "--bound": _INT},
+}
+_JUNK = st.sampled_from(
+    ("--", "-h", "--he", "--help", "-x", "--bogus", "-", "-d", "chi", "--d3", "-5",
+     "--relaxed", "--rank", "--c", "--format=csv", "--rank=9", "3", "json")
+) | st.text(alphabet="-=ab3 ", max_size=4)
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and its flags in any order, each maybe left out,
+    abbreviated, given as --flag=value or repeated, with junk put in."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    tokens = []
+    for flag in draw(st.permutations(list(_OPTIONS[command]))):
+        for _ in range(draw(st.sampled_from((0, 1, 1, 1, 1, 2)))):
+            name = flag[: draw(st.integers(3, len(flag) + 4))]  # --max, --r, --c
+            values = _OPTIONS[command][flag]
+            if values is None:
+                tokens.append(name)
+                continue
+            value = draw(st.sampled_from(values if draw(st.integers(0, 19)) else _BAD))
+            if draw(st.booleans()):
+                tokens.append(f"{name}={value}")
+            else:
+                tokens += [name, value]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_JUNK))
+    return command, tokens
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs())
+def test_subcommand_parser_parses_like_the_top_level_parser(argv):
+    command, rest = argv
+    parser, commands = _build_parser()
+    assert _parse(commands[command], rest) == _parse(parser, [command, *rest])
 
 
 def test_import_does_not_build_the_parser():
