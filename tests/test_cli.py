@@ -590,6 +590,34 @@ def test_verify_table_csv_matches_golden_file(capsys):
     assert out == golden
 
 
+# [argv, exit code, stdout, stderr], recorded before the handlers were made to
+# return result records: every subcommand in every format on each d, the exit
+# 1 and 2 paths, and each --help at COLUMNS=80.  Never regenerate it to make
+# a change pass; it is the byte-identity contract of the CLI.
+_GOLDEN_CLI = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_outputs.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", _GOLDEN_CLI, ids=[" ".join(e[0]) or "-" for e in _GOLDEN_CLI]
+)
+def test_cli_output_matches_golden_file(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = run(argv)
+    except SystemExit as exc:  # --help
+        got = exc.code
+    captured = capsys.readouterr()
+    got_out = captured.out
+    if argv[-1:] == ["--help"] and sys.version_info >= (3, 13):
+        # argparse 3.13 breaks long usage lines at other places
+        out, got_out = out.split(), got_out.split()
+    assert (got, got_out, captured.err) == (code, out, err)
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "fano_acm", "census", "--d", "3", "--max-rank", "6",
