@@ -467,45 +467,44 @@ TABLE_EXPORT_COLUMNS = (
 )
 
 
+def _symbolic_checked_rows():
+    """(row, printed c2, c3, computed c2, c3, ok) for every census row, with
+    the values as polynomials in d, read off the totals at d = 3, 4, 5."""
+    varieties = [FanoThreefold(d) for d in (3, 4, 5)]
+    for row in _TABLE1:
+        totals = [row.decomposition.chern(V) for V in varieties]
+        c2c = _linear_in_d(tuple(t.c2 for t in totals))
+        c3c = _linear_in_d(tuple(t.c3 for t in totals))
+        ok = totals[0].c1 == row.c1 and c2c == row.c2_printed and c3c == row.c3_printed
+        yield row, str(row.c2_printed), str(row.c3_printed), str(c2c), str(c3c), ok
+
+
 def table_export_rows(X: FanoThreefold | None = None) -> list[dict]:
     """The census table with recomputed columns, one dict per row.
 
-    With X given, rows are restricted to those applicable to X.d and all
-    values are integers; without it all 23 rows appear with values as
-    polynomials in d (rendered like "4d+12").
+    With X given, rows are restricted to those applicable to X.d, all
+    values are integers and a row's status is "ok" exactly when
+    verify_table1 reports no discrepancy for it; without it all 23 rows
+    appear with values as polynomials in d (rendered like "4d+12").
     """
-    out = []
-    # the polynomial columns are read off the totals at d = 3, 4, 5
-    varieties = [FanoThreefold(d) for d in (3, 4, 5)] if X is None else []
-    for row in _TABLE1:
-        if X is not None and X.d not in row.d_set:
-            continue
-        if X is None:
-            totals = [row.decomposition.chern(V) for V in varieties]
-            c1c = totals[0].c1
-            c2c = _linear_in_d(tuple(t.c2 for t in totals))
-            c3c = _linear_in_d(tuple(t.c3 for t in totals))
-            ok = c1c == row.c1 and c2c == row.c2_printed and c3c == row.c3_printed
-            pc2: object = str(row.c2_printed)
-            pc3: object = str(row.c3_printed)
-            cc2: object = str(c2c)
-            cc3: object = str(c3c)
-        else:
-            total = row.decomposition.chern(X)
-            pc2, pc3 = row.c2_printed(X.d), row.c3_printed(X.d)
-            cc2, cc3 = total.c2, total.c3
-            ok = (total.c1, cc2, cc3) == (row.c1, pc2, pc3)
-        out.append(
-            {
-                "d_set": ",".join(str(d) for d in sorted(row.d_set)),
-                "rank": row.rank,
-                "c1": row.c1,
-                "c2_printed": pc2,
-                "c3_printed": pc3,
-                "c2_computed": cc2,
-                "c3_computed": cc3,
-                "decomposition": row.decomposition.render(),
-                "status": "ok" if ok else "mismatch",
-            }
+    if X is None:
+        checked = _symbolic_checked_rows()
+    else:
+        checked = (
+            (row, row.c2_printed(X.d), row.c3_printed(X.d), total.c2, total.c3, disc is None)
+            for row, total, disc in _checked_rows(X)
         )
-    return out
+    return [
+        {
+            "d_set": ",".join(str(d) for d in sorted(row.d_set)),
+            "rank": row.rank,
+            "c1": row.c1,
+            "c2_printed": pc2,
+            "c3_printed": pc3,
+            "c2_computed": cc2,
+            "c3_computed": cc3,
+            "decomposition": row.decomposition.render(),
+            "status": "ok" if ok else "mismatch",
+        }
+        for row, pc2, pc3, cc2, cc3, ok in checked
+    ]

@@ -1,39 +1,40 @@
 """Command-line front end.
 
-All subcommands read their inputs from flags and write results to stdout
-(diagnostics to stderr) in one of three formats: human (default), json or
-csv.  Output is deterministic: identical invocations produce byte-identical
-output, so json/csv are safe for golden files.
+Every subcommand reads its inputs from flags and writes its result to
+stdout (diagnostics to stderr) as human text (default), json or csv.  Output
+is deterministic: identical invocations produce byte-identical output, so
+json and csv are safe for golden files.
 
-Exit codes: 0 success, 1 invalid input (bad flags, d outside {3,4,5},
-rank < 3, or < 0 for oracle, enumeration or witness bound exceeded), 2 valid
-query with a negative answer (no matching rank-2 model, or a non-admissible
-witness request).
+Exit codes: 0 success; 1 invalid input (bad flags, d outside {3,4,5},
+rank < 3, or < 0 for oracle, an enumeration or witness bound exceeded); 2 a
+valid query with a negative answer (no matching rank-2 model, or a
+non-admissible witness request).  Under main(), a stdout that its reader
+closes early (`| head`) ends the process quietly with exit 1.
+
+There is one output path.  A handler returns a _Result: one zero-argument
+maker per format (the json payload, the csv header and rows, the human
+lines) and an optional stderr note, which means exit 2.  Only the emitter,
+_emit, reads --format; it calls that format's maker and writes the rendered
+text in one call.  The census is the exception: it streams, filling one "%"
+row template per format and existence value with the plain rows of the
+admissible-triple generator (the json template is what json.dumps(indent=2)
+makes of a row's dict; csv and human need no quoting), and writes chunks of
+a few thousand rows, one call each, so memory stays flat at any rank.
 
 json output is json.dumps(payload, indent=2) byte for byte, but it is made
 by the stdlib's C encoder, which json.dumps leaves for a pure-Python one as
 soon as an indent is given.  A container holding no container is encoded
 in one C call whose item separator carries the newline and the indent; a
-list of such dicts (admissible triples, table rows) is encoded
-whole in one call and its joins re-indented; any other container encodes
-its scalars in one call and splices its nested containers in.  This is
-exact because an encoded string never contains a raw newline.
+list of such dicts (admissible triples, table rows) is encoded whole in one
+call and its joins re-indented; any other container encodes its scalars in
+one call and splices its nested containers in.  This is exact because an
+encoded string never contains a raw newline.
 
-The census fills one "%" row template per format and existence value with
-the plain rows of the admissible-triple generator (the json template is
-what json.dumps(indent=2) makes of a row's dict; csv and human need no
-quoting).  It streams: rows are rendered in chunks of a few thousand and
-each chunk is written with one call, so memory stays flat at any rank and
-only the first and last writes carry the header and the closing lines.
-
-run() may be called any number of times in one process.  The argument
-parsers are built once, on the first call, and reused: argparse keeps no
-per-parse state on a parser, so every call gives the same stdout, stderr and
-exit code as the same argv in a fresh process.  An argv whose first token
-names a subcommand is parsed once, by that subcommand's parser; the
-top-level parser would only hand it the rest of the argv unchanged, so the
-namespace, usage errors and help are the same.  Any other argv (empty, an
-unknown command, --help) goes through the top-level parser.
+run() may be called any number of times in one process.  The parsers are
+built from the _COMMANDS table on the first call and reused; argparse keeps
+no per-parse state on a parser, so every call acts as in a fresh process.
+An argv that starts with a subcommand goes to that subcommand's parser
+alone, with the same namespace, errors and help as the top-level parser.
 """
 
 from __future__ import annotations
@@ -43,28 +44,16 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .acm import (
-    BoundExceeded,
-    InvalidRank,
-    NotAdmissible,
-    ORACLE_DEFAULT_BOUND,
-    _admissible_rows,
-    enumerate_admissible,
-    oracle_enumerate,
-    validate_witness,
-    witness,
+    BoundExceeded, InvalidRank, NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows,
+    enumerate_admissible, oracle_enumerate, validate_witness, witness,
 )
-from .catalog import (
-    TABLE_EXPORT_COLUMNS,
-    UnavailableBlock,
-    _checked_rows,
-    table_export_rows,
-)
+from .catalog import TABLE_EXPORT_COLUMNS, UnavailableBlock, _checked_rows, table_export_rows
 from .chow import ChernData, FanoThreefold, chi_twist, format_rational, twist
 from .rank2 import NoACMBundle, SplitLineBundles, TwistOf, classify_rank2
 
@@ -87,10 +76,6 @@ def _chern_str(c: ChernData) -> str:
 
 def _chern_json(c: ChernData) -> dict:
     return {"rank": c.rank, "c1": c.c1, "c2": c.c2, "c3": c.c3}
-
-
-def _rational_json(q: Fraction) -> int | str:
-    return q.numerator if q.denominator == 1 else format_rational(q)
 
 
 _INDENT = "  "
@@ -143,154 +128,139 @@ def _json_text(obj: object) -> str:
     return f"{text[0]}\n{_INDENT}{sep.join(items)}\n{text[-1]}"
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(_json_text(payload) + "\n")
+class _Result(NamedTuple):
+    """A handler's answer, with one maker per output format.  A maker does
+    only its own format's work, so a call pays for one rendering."""
+
+    json: Callable[[], object]  # the payload
+    csv: Callable[[], tuple[Sequence[str], Iterable[Sequence[object]]]]  # header, rows
+    human: Callable[[], Iterable[str]]  # lines, at least one
+    note: str | None = None  # a negative answer, for stderr; exit 2
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _triple_row(t) -> list[object]:
-    return [t.d, t.rank, t.c1, t.c2, t.c3, t.curve_degree, t.curve_genus]
+def _emit(result: _Result | None, args: argparse.Namespace) -> int:
+    """Write result in the format asked, with one write, and return the
+    exit code.  None: the handler has streamed its own output."""
+    if result is None:
+        return 0
+    if args.format == "json":
+        text = _json_text(result.json()) + "\n"
+    elif args.format == "csv":
+        header, rows = result.csv()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(result.human()) + "\n"
+    sys.stdout.write(text)
+    if result.note is None:
+        return 0
+    print(result.note, file=sys.stderr)
+    return 2
 
 
 _TRIPLE_HEADER = ["d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus"]
 
 
-def _cmd_chi(args: argparse.Namespace) -> int:
-    X = FanoThreefold(args.d)
+def _cmd_chi(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     c = ChernData(args.rank, args.c1, args.c2, args.c3)
     value = chi_twist(c, X, args.twist)
-    if args.format == "json":
-        _emit_json(
-            {
-                "d": X.d,
-                "chern": _chern_json(c),
-                "twist": args.twist,
-                "chi": _rational_json(value),
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
+    return _Result(
+        lambda: {
+            "d": X.d, "chern": _chern_json(c), "twist": args.twist,
+            "chi": value.numerator if value.denominator == 1 else format_rational(value),
+        },
+        lambda: (
             ["d", "rank", "c1", "c2", "c3", "twist", "chi"],
             [[X.d, c.rank, c.c1, c.c2, c.c3, args.twist, format_rational(value)]],
-        )
-    else:
-        print(f"{X}: F = {_chern_str(c)}")
-        print(f"chi(F({args.twist})) = {format_rational(value)}")
-    return 0
+        ),
+        lambda: [f"{X}: F = {_chern_str(c)}",
+                 f"chi(F({args.twist})) = {format_rational(value)}"],
+    )
 
 
-def _cmd_twist(args: argparse.Namespace) -> int:
-    X = FanoThreefold(args.d)
+def _cmd_twist(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     c = ChernData(args.rank, args.c1, args.c2, args.c3)
     out = twist(c, X, args.t)
-    if args.format == "json":
-        _emit_json(
-            {"d": X.d, "chern": _chern_json(c), "t": args.t, "result": _chern_json(out)}
-        )
-    elif args.format == "csv":
-        _emit_csv(
+    return _Result(
+        lambda: {"d": X.d, "chern": _chern_json(c), "t": args.t, "result": _chern_json(out)},
+        lambda: (
             ["d", "rank", "c1", "c2", "c3", "t", "rank_out", "c1_out", "c2_out", "c3_out"],
             [[X.d, c.rank, c.c1, c.c2, c.c3, args.t, out.rank, out.c1, out.c2, out.c3]],
-        )
-    else:
-        print(f"{X}: F = {_chern_str(c)}")
-        print(f"F({args.t}) = {_chern_str(out)}")
-    return 0
+        ),
+        lambda: [f"{X}: F = {_chern_str(c)}", f"F({args.t}) = {_chern_str(out)}"],
+    )
 
 
-def _cmd_classify2(args: argparse.Namespace) -> int:
-    X = FanoThreefold(args.d)
+def _cmd_classify2(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     verdict = classify_rank2(X, args.c1, args.c2)
-    if args.format == "json":
-        _emit_json(
-            {"d": X.d, "c1": args.c1, "c2": args.c2, "verdict": verdict.to_json()}
-        )
-    elif args.format == "csv":
+
+    def csv_rows():
         row: list[object] = [X.d, args.c1, args.c2, verdict.kind, "", "", ""]
         if isinstance(verdict, TwistOf):
             row[4] = verdict.twist
         elif isinstance(verdict, SplitLineBundles):
             row[5], row[6] = verdict.a, verdict.b
-        _emit_csv(["d", "c1", "c2", "kind", "twist", "a", "b"], [row])
-    else:
-        print(f"{X}: rank 2, c1={args.c1}, c2={args.c2}")
+        return ["d", "c1", "c2", "kind", "twist", "a", "b"], [row]
+
+    def human():
         if isinstance(verdict, TwistOf):
             c = verdict.chern(X)
-            print(f"verdict: {verdict.kind} t={verdict.twist}, {verdict.render()} = {_chern_str(c)}")
+            line = f"{verdict.kind} t={verdict.twist}, {verdict.render()} = {_chern_str(c)}"
         elif isinstance(verdict, SplitLineBundles):
-            c = verdict.chern(X)
-            print(f"verdict: split, {verdict.render()} = {_chern_str(c)}")
+            line = f"split, {verdict.render()} = {_chern_str(verdict.chern(X))}"
         else:
-            print("verdict: none (no such bundle without intermediate cohomology)")
-    if isinstance(verdict, NoACMBundle):
-        print(
-            f"no rank-2 model on {X} has c1={args.c1}, c2={args.c2}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+            line = "none (no such bundle without intermediate cohomology)"
+        return [f"{X}: rank 2, c1={args.c1}, c2={args.c2}", f"verdict: {line}"]
+
+    note = (f"no rank-2 model on {X} has c1={args.c1}, c2={args.c2}"
+            if isinstance(verdict, NoACMBundle) else None)
+    return _Result(lambda: {"d": X.d, "c1": args.c1, "c2": args.c2,
+                            "verdict": verdict.to_json()}, csv_rows, human, note)
 
 
-def _cmd_admissible(args: argparse.Namespace) -> int:
-    X = FanoThreefold(args.d)
+def _cmd_admissible(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     triples = enumerate_admissible(X, args.rank, relaxed=args.relaxed)
-    if args.format == "json":
-        _emit_json(
-            {
-                "d": X.d,
-                "rank": args.rank,
-                "relaxed": args.relaxed,
-                "triples": [t.to_json() for t in triples],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(_TRIPLE_HEADER, [_triple_row(t) for t in triples])
-    else:
-        mode = "relaxed" if args.relaxed else "strict"
-        print(f"{X}: rank {args.rank}, {mode} admissible c1 values: {len(triples)}")
-        for t in triples:
-            print(
-                f"  c1={t.c1}: c2={t.c2}, c3={t.c3}, "
-                f"curve degree {t.curve_degree}, genus {t.curve_genus}"
-            )
-    return 0
+    mode = "relaxed" if args.relaxed else "strict"
+    return _Result(
+        lambda: {
+            "d": X.d, "rank": args.rank, "relaxed": args.relaxed,
+            "triples": [t.to_json() for t in triples],
+        },
+        lambda: (
+            _TRIPLE_HEADER,
+            [[t.d, t.rank, t.c1, t.c2, t.c3, t.curve_degree, t.curve_genus] for t in triples],
+        ),
+        lambda: [f"{X}: rank {args.rank}, {mode} admissible c1 values: {len(triples)}"] + [
+            f"  c1={t.c1}: c2={t.c2}, c3={t.c3}, "
+            f"curve degree {t.curve_degree}, genus {t.curve_genus}"
+            for t in triples
+        ],
+    )
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    X = FanoThreefold(args.d)
+def _cmd_witness(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     dec = witness(X, args.rank, args.c1)  # NotAdmissible -> exit 2 in run()
     report = validate_witness(X, dec, args.rank, args.c1)
     total = report.total
-    if args.format == "json":
-        _emit_json(
-            {
-                "d": X.d,
-                "rank": args.rank,
-                "c1": args.c1,
-                "decomposition": dec.to_json(),
-                "rendered": dec.render(),
-                "chern": _chern_json(total),
-                "validation": report.to_json(),
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
+    return _Result(
+        lambda: {
+            "d": X.d, "rank": args.rank, "c1": args.c1, "decomposition": dec.to_json(),
+            "rendered": dec.render(), "chern": _chern_json(total),
+            "validation": report.to_json(),
+        },
+        lambda: (
             ["d", "rank", "c1", "decomposition", "c2", "c3", "valid"],
             [[X.d, args.rank, args.c1, dec.render(), total.c2, total.c3, report.ok]],
-        )
-    else:
-        print(f"{X}: rank {args.rank}, c1={args.c1}")
-        print(f"witness: {dec.render()} = {_chern_str(total)}")
-        for check in report.checks:
-            print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
-    return 0
+        ),
+        lambda: [f"{X}: rank {args.rank}, c1={args.c1}",
+                 f"witness: {dec.render()} = {_chern_str(total)}"] + [
+            f"  [{'ok' if check.passed else 'FAIL'}] {check.name}: {check.detail}"
+            for check in report.checks
+        ],
+    )
 
 
 _CENSUS_HEADER = _TRIPLE_HEADER + ["strict", "existence"]
@@ -316,11 +286,10 @@ _CENSUS_ROW = {
 _CENSUS_CHUNK_ROWS = 4096
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(X: FanoThreefold, args: argparse.Namespace) -> None:
     """Streams the rows in chunks of _CENSUS_CHUNK_ROWS, one write each.
     Every refusal of the row generator comes before its first row, so
     before anything is written."""
-    X = FanoThreefold(args.d)
     d = X.d
     rows = _admissible_rows(X, range(3, args.max_rank + 1), args.relaxed)
     templates = _CENSUS_ROW[args.format]
@@ -348,103 +317,80 @@ def _cmd_census(args: argparse.Namespace) -> int:
     text = chunk()
     if text is None:
         write(empty)
-        return 0
+        return
     text = head + text
     while (more := chunk()) is not None:
         write(text)
         text = sep + more
     write(text + end)
-    return 0
 
 
-def _cmd_verify_table(args: argparse.Namespace) -> int:
-    X = FanoThreefold(args.d) if args.d is not None else None
-    if args.format == "json":
-        _emit_json({"rows": table_export_rows(X)})
-    elif args.format == "csv":
+def _cmd_verify_table(X: FanoThreefold | None, args: argparse.Namespace) -> _Result:
+    def csv_rows():
         rows = table_export_rows(X)
-        _emit_csv(
-            TABLE_EXPORT_COLUMNS,
-            [[row[col] for col in TABLE_EXPORT_COLUMNS] for row in rows],
-        )
-    else:
-        for d in (3, 4, 5) if X is None else (X.d,):
-            rows = _checked_rows(FanoThreefold(d))
+        return TABLE_EXPORT_COLUMNS, [[row[c] for c in TABLE_EXPORT_COLUMNS] for row in rows]
+
+    def human():
+        lines = []
+        for V in map(FanoThreefold, (3, 4, 5)) if X is None else (X,):
+            rows = _checked_rows(V)
             flagged = sum(disc is not None for _, _, disc in rows)
-            print(
-                f"V_{d}: {len(rows)} applicable rows, "
+            lines.append(
+                f"{V}: {len(rows)} applicable rows, "
                 f"{len(rows) - flagged} match, {flagged} mismatch"
             )
             for row, total, disc in rows:
-                if disc is None:
-                    print(
-                        f"  [ok] rank {row.rank}, c1={row.c1}: "
-                        f"(c2,c3)=({total.c2},{total.c3}), "
-                        f"{row.decomposition.render()}"
-                    )
-                else:
-                    print(
-                        f"  [MISMATCH] rank {disc.rank}, c1={disc.c1}: printed "
-                        f"(c2,c3)=({disc.printed_c2},{disc.printed_c3}), computed "
-                        f"({disc.computed_c2},{disc.computed_c3}), forced "
-                        f"({disc.forced_c2},{disc.forced_c3}), "
-                        f"{row.decomposition.render()}"
-                    )
-    return 0
+                lines.append(
+                    f"  [ok] rank {row.rank}, c1={row.c1}: "
+                    f"(c2,c3)=({total.c2},{total.c3}), {row.decomposition.render()}"
+                    if disc is None else
+                    f"  [MISMATCH] rank {disc.rank}, c1={disc.c1}: printed "
+                    f"(c2,c3)=({disc.printed_c2},{disc.printed_c3}), computed "
+                    f"({disc.computed_c2},{disc.computed_c3}), forced "
+                    f"({disc.forced_c2},{disc.forced_c3}), {row.decomposition.render()}"
+                )
+        return lines
+
+    return _Result(lambda: {"rows": table_export_rows(X)}, csv_rows, human)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    X = FanoThreefold(args.d)
+def _cmd_oracle(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     decs = oracle_enumerate(X, args.rank, args.c1, bound=args.bound)
-    if args.format == "json":
-        _emit_json(
-            {
-                "d": X.d,
-                "rank": args.rank,
-                "c1": args.c1,
-                "decompositions": [
-                    {"blocks": dec.to_json(), "rendered": dec.render()} for dec in decs
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["d", "rank", "c1", "decomposition", "c2", "c3"],
-            [
-                [X.d, args.rank, args.c1, dec.render(), c.c2, c.c3]
-                for dec in decs
-                for c in (dec.chern(X),)
+    return _Result(
+        lambda: {
+            "d": X.d, "rank": args.rank, "c1": args.c1,
+            "decompositions": [
+                {"blocks": dec.to_json(), "rendered": dec.render()} for dec in decs
             ],
-        )
-    else:
-        print(f"{X}: rank {args.rank}, c1={args.c1}: {len(decs)} decomposition(s)")
-        for dec in decs:
-            print(f"  {dec.render()} = {_chern_str(dec.chern(X))}")
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser, *, d_required: bool = True) -> None:
-    p.add_argument(
-        "--d",
-        type=int,
-        choices=(3, 4, 5),
-        required=d_required,
-        default=None,
-        help="degree of the ambient Fano threefold V_d",
-    )
-    p.add_argument(
-        "--format",
-        choices=("human", "json", "csv"),
-        default="human",
-        help="output format (default: human)",
+        },
+        lambda: (
+            ["d", "rank", "c1", "decomposition", "c2", "c3"],
+            [[X.d, args.rank, args.c1, dec.render(), c.c2, c.c3]
+             for dec in decs for c in (dec.chern(X),)],
+        ),
+        lambda: [f"{X}: rank {args.rank}, c1={args.c1}: {len(decs)} decomposition(s)"]
+        + [f"  {dec.render()} = {_chern_str(dec.chern(X))}" for dec in decs],
     )
 
 
-def _add_chern_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--c3", type=int, required=True)
+_INT = {"type": int, "required": True}
+_RANK, _C1, _C2, _C3 = (("--rank", _INT), ("--c1", _INT), ("--c2", _INT), ("--c3", _INT))
+_RELAXED = ("--relaxed", {"action": "store_true"})
+
+# name: (handler, help, flags after --d and --format), in the order of --help
+_COMMANDS = {
+    "chi": (_cmd_chi, "Euler characteristic chi(F(t))",
+            (_RANK, _C1, _C2, _C3, ("--twist", {"type": int, "default": 0}))),
+    "twist": (_cmd_twist, "Chern data of F(t)", (_RANK, _C1, _C2, _C3, ("--t", _INT))),
+    "classify2": (_cmd_classify2, "rank-2 model with invariants (c1, c2)", (_C1, _C2)),
+    "admissible": (_cmd_admissible, "admissible triples at one rank", (_RANK, _RELAXED)),
+    "witness": (_cmd_witness, "direct-sum witness for (rank, c1)", (_RANK, _C1)),
+    "census": (_cmd_census, "admissible triples for 3 <= rank <= N",
+               (("--max-rank", _INT), _RELAXED)),
+    "verify-table": (_cmd_verify_table, "recompute the census table rows", ()),
+    "oracle": (_cmd_oracle, "brute-force decompositions for (rank, c1)",
+               (_RANK, _C1, ("--bound", {"type": int, "default": ORACLE_DEFAULT_BOUND}))),
+}
 
 
 @functools.cache
@@ -456,54 +402,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "invariant classification on V_3, V_4, V_5.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("chi", help="Euler characteristic chi(F(t))")
-    _add_common(p)
-    _add_chern_flags(p)
-    p.add_argument("--twist", type=int, default=0)
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser("twist", help="Chern data of F(t)")
-    _add_common(p)
-    _add_chern_flags(p)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_twist)
-
-    p = sub.add_parser("classify2", help="rank-2 model with invariants (c1, c2)")
-    _add_common(p)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.set_defaults(func=_cmd_classify2)
-
-    p = sub.add_parser("admissible", help="admissible triples at one rank")
-    _add_common(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--relaxed", action="store_true")
-    p.set_defaults(func=_cmd_admissible)
-
-    p = sub.add_parser("witness", help="direct-sum witness for (rank, c1)")
-    _add_common(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("census", help="admissible triples for 3 <= rank <= N")
-    _add_common(p)
-    p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--relaxed", action="store_true")
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("verify-table", help="recompute the census table rows")
-    _add_common(p, d_required=False)
-    p.set_defaults(func=_cmd_verify_table)
-
-    p = sub.add_parser("oracle", help="brute-force decompositions for (rank, c1)")
-    _add_common(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--bound", type=int, default=ORACLE_DEFAULT_BOUND)
-    p.set_defaults(func=_cmd_oracle)
-
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        # verify-table without --d covers every d
+        p.add_argument("--d", type=int, choices=(3, 4, 5), required=name != "verify-table",
+                       default=None, help="degree of the ambient Fano threefold V_d")
+        p.add_argument("--format", choices=("human", "json", "csv"), default="human",
+                       help="output format (default: human)")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser, sub.choices
 
 
@@ -519,8 +427,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    X = None if args.d is None else FanoThreefold(args.d)
     try:
-        return args.func(args)
+        return _emit(args.func(X, args), args)
     except NotAdmissible as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -530,4 +439,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): exit quietly with 1, as an
+        # uncaught error does; devnull keeps the flush at exit from raising.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -590,10 +590,9 @@ def test_verify_table_csv_matches_golden_file(capsys):
     assert out == golden
 
 
-# [argv, exit code, stdout, stderr], recorded before the handlers were made to
-# return result records: every subcommand in every format on each d, the exit
-# 1 and 2 paths, and each --help at COLUMNS=80.  Never regenerate it to make
-# a change pass; it is the byte-identity contract of the CLI.
+# [argv, exit code, stdout, stderr] for every subcommand in every format on
+# each d, the exit 1 and 2 paths, and each --help at COLUMNS=80.  It pins the
+# CLI's bytes: a change that alters them says so, it does not regenerate it.
 _GOLDEN_CLI = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "cli_outputs.json").read_text(
         encoding="utf-8"
@@ -630,3 +629,33 @@ def test_module_entry_point():
     payload = json.loads(result.stdout)
     assert payload["d"] == 3 and payload["max_rank"] == 6
     assert all(t["existence"] == "witnessed" for t in payload["triples"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--d", "5", "--max-rank", "1000", "--relaxed"],  # fails mid-stream
+        ["admissible", "--d", "3", "--rank", "300000"],  # fails in its one write
+    ],
+)
+def test_closed_stdout_ends_quietly_with_exit_1(argv):
+    # Both outputs are megabytes, far more than a pipe holds, so the
+    # process is still writing when the reader goes away.  stdout is left
+    # buffered, as by default: unbuffered (PYTHONUNBUFFERED), a text write
+    # that the closed pipe cuts short is dropped without an error.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fano_acm", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
