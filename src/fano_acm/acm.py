@@ -16,11 +16,12 @@ sum of catalog blocks: by census-table lookup for r <= 7, and for r >= 8 by
 peeling off S_E(1) (when c1 = r), S_C(1) (when c1 >= (r-2)/d + 1) or the
 rank-d block with c1 = 1 (otherwise) down to a census row.  The peeling
 always runs as some S_C(1) steps followed by S_E(1) steps or rank-d steps,
-so the three step counts are computed in closed form: a witness at any
-rank costs the same handful of integer operations, and the returned
-Decomposition carries its block counts.  Its ``blocks`` tuple lists every
-summand, so witness() refuses ranks above WITNESS_MAX_RANK with
-BoundExceeded (exit 1 on the command line) before it builds anything.
+so the three step counts are computed in closed form, and the returned
+Decomposition stores only its block counts: building and validating a
+witness costs the same handful of integer operations at any rank.  Its
+``blocks`` tuple, render() and to_json() list every summand, and the
+command line prints them, so witness() refuses ranks above
+WITNESS_MAX_RANK with BoundExceeded (exit 1 on the command line).
 oracle_enumerate() independently brute-forces all such sums; every sum it
 finds carries the forced classes.
 
@@ -269,11 +270,12 @@ def _peel_counts(d: int, rank: int, c1: int) -> tuple[int, int, int]:
     return sc, 0, -(-(rank - 7) // d)
 
 
-# Largest rank witness() expands.  Its blocks tuple holds up to r/2 entries
-# and its rendering about 9 characters per block: at this bound, building,
-# rendering and validating one witness peaks at about 45 MB.  Far above it
-# the expansion would fail with MemoryError (rank 10^18) or OverflowError
-# (rank 10^50).
+# Largest rank witness() answers.  Building and validating a witness work
+# from its block counts and cost the same at any rank; this bound guards
+# its expansion: blocks, render() and to_json() list up to r/2 summands,
+# and the command line prints them.  At this bound the json witness takes
+# about 2 s and 240 MB peak RSS; far above it the expansion would fail
+# with MemoryError (rank 10^18) or OverflowError (rank 10^50).
 WITNESS_MAX_RANK = 10**6
 
 
@@ -394,20 +396,28 @@ def oracle_enumerate(
     if rank < 0:
         raise InvalidRank(f"rank must be >= 0, got {rank}")
     candidates = [(b, *_block_rank_c1(b)) for b in _oracle_blocks(X)]
+    d = X.d
     found: list[Decomposition] = []
 
-    def search(start: int, r_left: int, c1_left: int, chosen: list[BlockId]) -> None:
+    def search(
+        start: int, r_left: int, c1_left: int, chosen: list[tuple[BlockId, int]]
+    ) -> None:
+        # chosen holds (block, multiplicity) runs of candidates before start
         if r_left == 0:
             if c1_left == 0:
-                found.append(Decomposition(tuple(chosen)))
+                found.append(Decomposition(counts=tuple(chosen)))
             return
         for i in range(start, len(candidates)):
             b, br, bc1 = candidates[i]
-            if br > r_left:
-                continue
-            chosen.append(b)
-            search(i, r_left - br, c1_left - bc1, chosen)
-            chosen.pop()
+            r, c, k = r_left - br, c1_left - bc1, 1
+            while r >= 0:
+                # every candidate has r/d <= c1 <= r, so every sum of them
+                # has too: a remainder outside that range cannot be filled
+                if c <= r <= d * c:
+                    chosen.append((b, k))
+                    search(i + 1, r, c, chosen)
+                    chosen.pop()
+                r, c, k = r - br, c - bc1, k + 1
 
     search(0, rank, c1, [])
     return sorted(found, key=Decomposition.sort_key)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -69,6 +70,10 @@ class Family(enum.Enum):
     F41 = "F_{4,1}"
     F51 = "F_{5,1}"
     F72 = "F_{7,2}"
+
+    # members are singletons: identity hashing is exact, and it is a C
+    # slot where Enum's own hash of the member name is Python code
+    __hash__ = object.__hash__
 
 
 _FAMILY_ORDER = {fam: i for i, fam in enumerate(Family)}
@@ -245,32 +250,52 @@ def _block_rank_c1(block: BlockId) -> tuple[int, int]:
     return spec.rank, spec.base_c1 + spec.rank * block.twist
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A multiset of blocks representing a direct sum, kept in canonical
-    (family, twist) order so equal multisets compare equal.
+class _BlocksField:
+    """The ``blocks`` field of Decomposition, a data descriptor.
 
-    ``counts`` holds the same multiset as (block, multiplicity) pairs with
-    distinct blocks in canonical order.  Give either ``blocks`` in any order
-    or ``counts`` (any order, repeats merged, zeros dropped); the other
-    field is derived once, at construction.  Building from counts costs
-    nothing per copy beyond filling the ``blocks`` tuple.
+    Until __post_init__ has run it reads back the tuple given to the
+    constructor, so a hook wrapped around __post_init__ sees the input.
+    After that it expands ``counts`` afresh on each read; nothing of size
+    rank is stored."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()  # the dataclass default
+        given = obj.__dict__.get("blocks")
+        if given is not None:
+            return given
+        return tuple(obj._expanded(lambda b: b))
+
+    def __set__(self, obj, value):
+        obj.__dict__["blocks"] = value
+
+
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """A multiset of blocks representing a direct sum.
+
+    Only ``counts`` is stored: (block, multiplicity) pairs with distinct
+    blocks in canonical (family, twist) order and positive multiplicities,
+    so equal multisets compare and hash equal.  Give either ``blocks`` in
+    any order or ``counts`` (any order, repeats merged, zeros dropped).
+    ``blocks`` lists every summand in canonical order and is expanded from
+    ``counts`` on each read, as are render(), to_json() and sort_key();
+    rank, c1 and chern() work from ``counts`` alone, so a decomposition
+    costs the same at any multiplicity until it is expanded.
     """
 
-    blocks: tuple[BlockId, ...] = ()
-    counts: tuple[tuple[BlockId, int], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    blocks: tuple[BlockId, ...] = _BlocksField()
+    counts: tuple[tuple[BlockId, int], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        given = self.__dict__.pop("blocks")
         if self.counts is None:
-            pairs = tuple((b, 1) for b in self.blocks)
-        elif self.blocks:
+            pairs = [(b, 1) for b in given]
+        elif given:
             raise ValueError("give a Decomposition its blocks or its counts, not both")
         else:
             pairs = self.counts
         counts: list[tuple[BlockId, int]] = []
-        blocks: list[BlockId] = []
         last = None
         keyed = sorted(((b.sort_key(), b, k) for b, k in pairs), key=itemgetter(0))
         for key, b, k in keyed:
@@ -283,9 +308,22 @@ class Decomposition:
             else:
                 counts.append((b, k))
                 last = key
-            blocks += [counts[-1][0]] * k
         object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "blocks", tuple(blocks))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.counts == other.counts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.counts)
+
+    def _expanded(self, per_block: Callable[[BlockId], object]) -> list:
+        # per_block is called once per distinct block, its value repeated
+        out = []
+        for b, k in self.counts:
+            out += [per_block(b)] * k
+        return out
 
     @property
     def rank(self) -> int:
@@ -308,13 +346,13 @@ class Decomposition:
         return ChernData.trivial(0) if total is None else total
 
     def render(self) -> str:
-        return " ⊕ ".join(b.render() for b in self.blocks)
+        return " ⊕ ".join(self._expanded(BlockId.render))
 
     def to_json(self) -> list[dict]:
         return [b.to_json() for b in self.blocks]
 
     def sort_key(self) -> tuple:
-        return tuple(b.sort_key() for b in self.blocks)
+        return tuple(self._expanded(BlockId.sort_key))
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,19 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        # Unbuffered stdout (python -u, PYTHONUNBUFFERED): the text layer
+        # drops the rest of a short raw write, which is what a pipe closed
+        # mid-write returns.  A BufferedWriter retries it, so the closed
+        # pipe raises BrokenPipeError below instead of cutting the output
+        # short with exit 0.  Every CLI write holds a newline, so line
+        # buffering still passes each write on at once.
+        out = sys.stdout
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(raw), encoding=out.encoding, errors=out.errors,
+            line_buffering=True,
+        )
     try:
         code = run()
         sys.stdout.flush()

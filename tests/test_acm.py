@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from itertools import combinations_with_replacement
+
 import pytest
 
 from fano_acm import (
@@ -14,6 +17,7 @@ from fano_acm import (
     InvalidRank,
     NotAdmissible,
     admissible,
+    block_available,
     chi_twist,
     enumerate_admissible,
     euler_char,
@@ -242,6 +246,22 @@ def test_witness_at_rank_one_million(X):
 
 
 @pytest.mark.parametrize("X", VARIETIES, ids=str)
+def test_witness_at_rank_one_million_in_constant_memory(X):
+    r = 10**6
+    for c1 in (r, -(-r // X.d)):
+        validate_witness(X, witness(X, r, c1), r, c1)  # fill the block caches
+        tracemalloc.start()
+        try:
+            dec = witness(X, r, c1)
+            report = validate_witness(X, dec, r, c1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, (X.d, c1)
+        assert peak < 64 * 2**10, (X.d, c1, peak)
+
+
+@pytest.mark.parametrize("X", VARIETIES, ids=str)
 def test_witness_above_rank_bound_raises_bound_exceeded(X):
     for r in (WITNESS_MAX_RANK + 1, 10**18, 10**50):
         for c1 in (r, r - 1, -(-r // X.d)):
@@ -349,6 +369,25 @@ def test_oracle_closure_all_sums_carry_forced_classes():
                     assert total.rank == r and total.c1 == c1
                     assert total.c2 == forced_c2(X, r, c1)
                     assert total.c3 == forced_c3(X, r, c1)
+
+
+def test_oracle_matches_brute_force_over_block_multisets():
+    # every multiset of at most r/2 eligible blocks, grouped by its sums,
+    # inadmissible (r, c1) included: the search's pruning loses nothing
+    eligible = [SC1, SE1] + [BlockId(f) for f in (
+        Family.F31, Family.F32, Family.F33, Family.F41, Family.F51, Family.F72)]
+    for X in VARIETIES:
+        blocks = [b for b in eligible if block_available(b.family, X)]
+        by_sums = {}
+        for n in range(0, 6):
+            for combo in combinations_with_replacement(blocks, n):
+                dec = Decomposition(combo)
+                by_sums.setdefault((dec.rank, dec.c1), set()).add(dec)
+        for r in range(0, 11):
+            for c1 in range(-1, r + 2):
+                found = oracle_enumerate(X, r, c1)
+                assert len(set(found)) == len(found)
+                assert set(found) == by_sums.get((r, c1), set()), (X.d, r, c1)
 
 
 def test_oracle_deterministic_order():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -193,6 +196,66 @@ def test_decomposition_rejects_bad_counts():
         Decomposition(counts=((SC1, -1),))
     with pytest.raises(ValueError):
         Decomposition((SC1,), counts=((SC1, 1),))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(BlockId, st.sampled_from(list(Family)), st.integers(-3, 3)),
+            st.integers(0, 5),
+        ),
+        max_size=8,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_decomposition_from_blocks_or_counts_is_one_multiset(pairs, rnd):
+    blocks = [b for b, k in pairs for _ in range(k)]
+    rnd.shuffle(blocks)
+    from_blocks = Decomposition(tuple(blocks))
+    from_counts = Decomposition(counts=tuple(pairs))
+    assert from_blocks == from_counts
+    assert hash(from_blocks) == hash(from_counts)
+    # reference expansion: distinct blocks in (family, twist) order, each
+    # repeated by its total multiplicity
+    totals = Counter()
+    for b, k in pairs:
+        totals[b] += k
+    expected = tuple(
+        b for b in sorted(totals, key=lambda b: (list(Family).index(b.family), b.twist))
+        for _ in range(totals[b])
+    )
+    for dec in (from_blocks, from_counts):
+        assert type(dec.blocks) is tuple and dec.blocks == expected
+        assert dec.render() == " ⊕ ".join(b.render() for b in expected)
+        assert dec.to_json() == [b.to_json() for b in expected]
+        assert dec.sort_key() == tuple(b.sort_key() for b in expected)
+
+
+def test_decomposition_is_immutable():
+    dec = Decomposition((SE1, SC1, SE1))
+    for name in ("blocks", "counts"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dec, name, ())
+    assert dec.blocks == (SC1, SE1, SE1)
+    assert dec.counts == ((SC1, 1), (SE1, 2))
+
+
+def test_decomposition_with_huge_count_is_exact_in_constant_memory():
+    k = 10**50
+    for X in VARIETIES:
+        dec = Decomposition(counts=((SE1, 1),))
+        dec.chern(X)  # fill the block caches outside the traced window
+        tracemalloc.start()
+        try:
+            dec = Decomposition(counts=((SE1, k),))
+            rank, c1, total = dec.rank, dec.c1, dec.chern(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+        assert (rank, c1) == (2 * k, 2 * k)
+        assert total == whitney_power(block_chern(SE1, X), X, k)
 
 
 def test_decomposition_chern_matches_blockwise_whitney_sum():

@@ -659,3 +659,24 @@ def test_closed_stdout_ends_quietly_with_exit_1(argv):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_closed_unbuffered_stdout_ends_quietly_with_exit_1():
+    # Unbuffered, the text layer would drop the rest of a write that the
+    # closed pipe cuts short and exit 0; main() writes through a buffered
+    # layer that retries the short write and so sees the broken pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fano_acm", "admissible", "--d", "3", "--rank", "300000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
