@@ -34,6 +34,7 @@ from .catalog import (
 from .chow import (
     ChernData,
     FanoThreefold,
+    InternalError,
     Rational,
     chi_twist,
     complement_in_trivial,

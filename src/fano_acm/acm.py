@@ -22,6 +22,12 @@ witness costs the same handful of integer operations at any rank.  Its
 ``blocks`` tuple, render() and to_json() list every summand, and the
 command line prints them, so witness() refuses ranks above
 WITNESS_MAX_RANK with BoundExceeded (exit 1 on the command line).
+validate_witness() records the facts its five checks read (the Whitney
+total, the forced (c2, c3), the unavailable families and the number of
+trivial summands) and decides the five verdicts from them.  Its
+ValidationReport is those facts plus ``checks``, which builds the Check
+records and their detail strings only when it is read, so a validation
+costs its Whitney total plus a few integer comparisons.
 oracle_enumerate() independently brute-forces all such sums; every sum it
 finds carries the forced classes.
 
@@ -42,6 +48,7 @@ additions (tests/test_identities.py proves the three splits).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -274,7 +281,7 @@ def _peel_counts(d: int, rank: int, c1: int) -> tuple[int, int, int]:
 # from its block counts and cost the same at any rank; this bound guards
 # its expansion: blocks, render() and to_json() list up to r/2 summands,
 # and the command line prints them.  At this bound the json witness takes
-# about 2 s and 240 MB peak RSS; far above it the expansion would fail
+# about 1.6 s and 155 MB peak RSS; far above it the expansion would fail
 # with MemoryError (rank 10^18) or OverflowError (rank 10^50).
 WITNESS_MAX_RANK = 10**6
 
@@ -311,17 +318,43 @@ class Check:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """The five witness checks, plus the Whitney total they were run on
-    (kept for callers that print it; not part of the json form)."""
+_CHECK_NAMES = ("availability", "rank", "c1", "c2_c3_forced", "no_trivial_summands")
 
-    checks: tuple[Check, ...]
-    total: ChernData
+
+class ValidationReport(
+    namedtuple(
+        "ValidationReport", "X rank c1 total forced unavailable trivial verdicts"
+    )
+):
+    """The facts the five witness checks read, with their verdicts.
+
+    Fields: the variety X, the target rank and c1, the Whitney total of
+    the decomposition (kept for callers that print it; not part of the
+    json form), the forced (c2, c3) at the target, the sorted names of
+    the families not available on X, the number of trivial (O_V)
+    summands, and the five verdicts, in the order of ``checks``.  The
+    Check records, with their detail strings, are built from these facts
+    each time ``checks`` is read."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(self.verdicts)
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        X, total, (fc2, fc3) = self.X, self.total, self.forced
+        details = (
+            f"not available on {X}: {', '.join(self.unavailable)}"
+            if self.unavailable
+            else f"all blocks available on {X}",
+            f"rank sum {total.rank}, target {self.rank}",
+            f"c1 sum {total.c1}, target {self.c1}",
+            f"c2 {total.c2} vs forced {fc2}, c3 {total.c3} vs forced {fc3}",
+            f"{self.trivial} trivial summand(s)" if self.trivial else "no trivial summands",
+        )
+        return tuple(map(Check, _CHECK_NAMES, self.verdicts, details))
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
@@ -331,36 +364,25 @@ def validate_witness(
     X: FanoThreefold, dec: Decomposition, rank: int, c1: int
 ) -> ValidationReport:
     """Check a decomposition against the target (d, r, c1): block
-    availability, rank sum, c1 sum, forced (c2, c3), no trivial summands."""
-    unavailable = sorted(
-        {b.family.value for b, _ in dec.counts if not block_available(b.family, X)}
-    )
+    availability, rank sum, c1 sum, forced (c2, c3), no trivial summands.
+    All five verdicts are decided here, on the exact Whitney total."""
     total = dec.chern(X)
-    fc2 = forced_c2(X, rank, c1)
-    fc3 = forced_c3(X, rank, c1)
-    trivial = sum(k for b, k in dec.counts if b.family is Family.OV)
-    checks = (
-        Check(
-            "availability",
-            not unavailable,
-            "all blocks available on %s" % X
-            if not unavailable
-            else "not available on %s: %s" % (X, ", ".join(unavailable)),
-        ),
-        Check("rank", total.rank == rank, f"rank sum {total.rank}, target {rank}"),
-        Check("c1", total.c1 == c1, f"c1 sum {total.c1}, target {c1}"),
-        Check(
-            "c2_c3_forced",
-            (total.c2, total.c3) == (fc2, fc3),
-            f"c2 {total.c2} vs forced {fc2}, c3 {total.c3} vs forced {fc3}",
-        ),
-        Check(
-            "no_trivial_summands",
-            not trivial,
-            "no trivial summands" if not trivial else f"{trivial} trivial summand(s)",
-        ),
+    forced = (forced_c2(X, rank, c1), forced_c3(X, rank, c1))
+    unavailable, trivial = set(), 0
+    for b, k in dec.counts:
+        if not block_available(b.family, X):
+            unavailable.add(b.family.value)
+        if b.family is Family.OV:
+            trivial += k
+    unavailable = tuple(sorted(unavailable))
+    verdicts = (
+        not unavailable,
+        total.rank == rank,
+        total.c1 == c1,
+        (total.c2, total.c3) == forced,
+        not trivial,
     )
-    return ValidationReport(checks, total)
+    return ValidationReport(X, rank, c1, total, forced, unavailable, trivial, verdicts)
 
 
 ORACLE_DEFAULT_BOUND = 12

@@ -30,6 +30,7 @@ from operator import itemgetter
 from .chow import (
     ChernData,
     FanoThreefold,
+    InternalError,
     euler_char,
     forced_c2,
     forced_c3,
@@ -121,7 +122,7 @@ class BlockSpec:
         # chi of the block; these blocks have no higher cohomology at twist 0
         chi = euler_char(self.base_chern(X), X)
         if chi.denominator != 1:
-            raise ValueError(f"internal error: chi of {self.family} not integral")
+            raise InternalError(f"internal error: chi of {self.family} not integral")
         return chi.numerator
 
 
@@ -349,7 +350,9 @@ class Decomposition:
         return " ⊕ ".join(self._expanded(BlockId.render))
 
     def to_json(self) -> list[dict]:
-        return [b.to_json() for b in self.blocks]
+        """One dict per summand, in canonical order.  Copies of a block
+        share one dict, so do not mutate the dicts."""
+        return self._expanded(BlockId.to_json)
 
     def sort_key(self) -> tuple:
         return tuple(self._expanded(BlockId.sort_key))
@@ -488,7 +491,7 @@ def _linear_in_d(values: tuple[int, int, int]) -> DPoly:
     f3, f4, f5 = values
     coef = f4 - f3
     if f5 - f4 != coef:
-        raise ValueError(f"internal error: {values} at d = 3, 4, 5 is not linear in d")
+        raise InternalError(f"internal error: {values} at d = 3, 4, 5 is not linear in d")
     return DPoly(f3 - 3 * coef, coef)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "InternalError",
     "Rational",
     "format_rational",
     "FanoThreefold",
@@ -36,6 +37,12 @@ __all__ = [
     "forced_c2",
     "forced_c3",
 ]
+
+
+class InternalError(ValueError):
+    """An invariant of the library's own arithmetic failed: a bug, not bad
+    input.  A ValueError, so callers that catch ValueError still do."""
+
 
 # Exact rationals, always stored reduced with positive denominator.
 Rational = Fraction
@@ -223,7 +230,7 @@ def complement_in_trivial(g: ChernData, n: int, X: FanoThreefold) -> ChernData:
             f"no rank-{n - g.rank} complement of {g.tuple()} inside O^{n}: {exc}"
         ) from None
     if whitney_sum(k, g, X) != ChernData.trivial(n):
-        raise ValueError("internal error: Whitney solution failed to verify")
+        raise InternalError("internal error: Whitney solution failed to verify")
     return dual(k)
 
 
@@ -253,7 +260,7 @@ def forced_c2(X: FanoThreefold, rank: int, c1: int) -> int:
     chi(F(-1)) = chi(F(-2)) = 0.  Integral for every c1: c1(c1-1) is even."""
     num = X.d * c1 * (c1 - 1)
     if num % 2:
-        raise ValueError("internal error: forced c2 is not an integer")
+        raise InternalError("internal error: forced c2 is not an integer")
     return num // 2 + rank
 
 
@@ -278,6 +285,6 @@ def curve_invariants(X: FanoThreefold, rank: int, c1: int) -> tuple[int, int]:
     degree = forced_c2(X, rank, c1)
     num = X.d * c1 * (c1 - 1) * (c1 - 2)
     if num % 3:
-        raise ValueError("internal error: genus formula is not an integer")
+        raise InternalError("internal error: genus formula is not an integer")
     genus = (c1 - 1) * (rank - 1) + num // 3
     return degree, genus

@@ -8,8 +8,13 @@ json and csv are safe for golden files.
 Exit codes: 0 success; 1 invalid input (bad flags, d outside {3,4,5},
 rank < 3, or < 0 for oracle, an enumeration or witness bound exceeded); 2 a
 valid query with a negative answer (no matching rank-2 model, or a
-non-admissible witness request).  Under main(), a stdout that its reader
-closes early (`| head`) ends the process quietly with exit 1.
+non-admissible witness request); 3 an internal error, an invariant of the
+library's own arithmetic that failed (chow.InternalError), reported on
+stderr as "internal error: ...".  An empty enumeration is a complete
+answer, not a negative one: `census --max-rank 2` prints an empty table and
+an `oracle` that finds no decomposition prints an empty list, both with
+exit 0.  Under main(), a stdout that its reader closes early (`| head`)
+ends the process quietly with exit 1.
 
 There is one output path.  A handler returns a _Result: one zero-argument
 maker per format (the json payload, the csv header and rows, the human
@@ -54,7 +59,7 @@ from .acm import (
     enumerate_admissible, oracle_enumerate, validate_witness, witness,
 )
 from .catalog import TABLE_EXPORT_COLUMNS, UnavailableBlock, _checked_rows, table_export_rows
-from .chow import ChernData, FanoThreefold, chi_twist, format_rational, twist
+from .chow import ChernData, FanoThreefold, InternalError, chi_twist, format_rational, twist
 from .rank2 import NoACMBundle, SplitLineBundles, TwistOf, classify_rank2
 
 __all__ = ["run", "main"]
@@ -433,6 +438,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except NotAdmissible as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except InternalError as exc:  # a ValueError, but not the input's fault
+        print(str(exc), file=sys.stderr)
+        return 3
     except (InvalidRank, BoundExceeded, UnavailableBlock, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

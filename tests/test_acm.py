@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fano_acm
 from fano_acm import (
     BlockId,
     BoundExceeded,
     ChernData,
+    Check,
     Decomposition,
     FanoThreefold,
     Family,
@@ -322,6 +329,88 @@ def test_validate_flags_wrong_totals():
     by_name = {c.name: c for c in report.checks}
     assert not by_name["rank"].passed
     assert by_name["c1"].passed
+
+
+def reference_checks(X, dec, rank, c1):
+    """The five checks built eagerly, one rule and one detail string each,
+    on the decomposition's Whitney total."""
+    unavailable = sorted(
+        {b.family.value for b in dec.blocks if not block_available(b.family, X)}
+    )
+    total = dec.chern(X)
+    fc2, fc3 = forced_c2(X, rank, c1), forced_c3(X, rank, c1)
+    trivial = sum(b.family is Family.OV for b in dec.blocks)
+    return (
+        Check(
+            "availability",
+            not unavailable,
+            f"not available on {X}: {', '.join(unavailable)}"
+            if unavailable
+            else f"all blocks available on {X}",
+        ),
+        Check("rank", total.rank == rank, f"rank sum {total.rank}, target {rank}"),
+        Check("c1", total.c1 == c1, f"c1 sum {total.c1}, target {c1}"),
+        Check(
+            "c2_c3_forced",
+            total.c2 == fc2 and total.c3 == fc3,
+            f"c2 {total.c2} vs forced {fc2}, c3 {total.c3} vs forced {fc3}",
+        ),
+        Check(
+            "no_trivial_summands",
+            trivial == 0,
+            f"{trivial} trivial summand(s)" if trivial else "no trivial summands",
+        ),
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(VARIETIES),
+    st.lists(
+        st.tuples(
+            st.builds(BlockId, st.sampled_from(list(Family)), st.integers(-3, 3)),
+            st.integers(0, 5),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from(["exact", "c2"]) | st.tuples(st.integers(0, 60), st.integers(-20, 40)),
+)
+def test_validation_report_keeps_every_check(X, pairs, target):
+    dec = Decomposition(counts=tuple(pairs))
+    if target == "exact":  # the decomposition's own rank and c1
+        rank, c1 = dec.rank, dec.c1
+    elif target == "c2":  # the rank whose forced c2 is the total's c2
+        c1 = dec.c1
+        rank = dec.chern(X).c2 - X.d * c1 * (c1 - 1) // 2
+    else:
+        rank, c1 = target
+    report = validate_witness(X, dec, rank, c1)
+    expected = reference_checks(X, dec, rank, c1)
+    assert report.checks == expected
+    assert report.to_json() == {
+        "ok": all(c.passed for c in expected),
+        "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in expected
+        ],
+    }
+    assert report.ok == all(c.passed for c in report.checks)
+    assert report.total == dec.chern(X)
+
+
+def test_import_does_not_load_typing():
+    # ValidationReport subclasses collections.namedtuple; typing.NamedTuple
+    # would load typing on every import.  -S keeps site start-up, which may
+    # load typing itself, out of the check.
+    src = str(pathlib.Path(fano_acm.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import fano_acm; "
+         "print('typing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 # --- oracle -------------------------------------------------------------------

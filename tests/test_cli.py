@@ -18,12 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano_acm import (
+    ChernData,
     Decomposition,
     FanoThreefold,
+    InternalError,
     admissible,
     make_triple,
     table1_rows,
 )
+from fano_acm import cli
 from fano_acm.cli import _build_parser, _json_text, _UsageError, run
 
 
@@ -382,6 +385,36 @@ def test_malformed_flags_exit_1(capsys):
     assert invoke(capsys, ["chi", "--d", "3"])[0] == 1
     assert invoke(capsys, ["no-such-command"])[0] == 1
     assert invoke(capsys, [])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (InternalError("internal error: broken invariant"), 3,
+         "internal error: broken invariant\n"),
+        (ValueError("rank 1 forces c2 = c3 = 0"), 1, "error: rank 1 forces c2 = c3 = 0\n"),
+    ],
+    ids=["internal", "input"],
+)
+def test_internal_errors_exit_3_and_input_value_errors_exit_1(
+    capsys, monkeypatch, exc, code, err
+):
+    def raising(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "twist", raising)
+    argv = ["twist", "--d", "3", "--rank", "2", "--c1", "0", "--c2", "1", "--c3", "0",
+            "--t", "1"]
+    assert invoke(capsys, argv) == (code, "", err)
+
+
+def test_internal_error_from_a_library_invariant_exits_3(capsys, monkeypatch):
+    # totals that are not linear in d break verify-table's reading of the
+    # symbolic columns, an invariant of the catalog, not of the input
+    monkeypatch.setattr(Decomposition, "chern", lambda self, X: ChernData(3, 1, X.d**2, 0))
+    code, out, err = invoke(capsys, ["verify-table", "--format", "csv"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: (9, 16, 25) at d = 3, 4, 5 is not linear in d\n"
 
 
 # --- json encoding ----------------------------------------------------------------------
