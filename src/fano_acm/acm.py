@@ -44,13 +44,15 @@ ENUMERATE_MAX_TRIPLES with BoundExceeded (exit 1 on the command line).  At
 fixed c1, c2, c3 and the genus are linear in r, so the generator evaluates
 the forced classes once per c1, at rank 2, and each row is a few integer
 additions (tests/test_identities.py proves the three splits).
+
+AdmissibleTriple, Check and ValidationReport are collections.namedtuple
+subclasses with ``__slots__ = ()``; see catalog for the three dataclasses.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .catalog import (
     BlockId,
@@ -102,28 +104,15 @@ class BoundExceeded(ValueError):
     admissible triples, or a witness above WITNESS_MAX_RANK."""
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
+class AdmissibleTriple(
+    namedtuple("AdmissibleTriple", "d rank c1 c2 c3 curve_degree curve_genus")
+):
     """An admissible (d, r, c1) with its forced classes and curve data."""
 
-    d: int
-    rank: int
-    c1: int
-    c2: int
-    c3: int
-    curve_degree: int
-    curve_genus: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "rank": self.rank,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "curve_degree": self.curve_degree,
-            "curve_genus": self.curve_genus,
-        }
+        return self._asdict()
 
     def chern(self) -> ChernData:
         return ChernData(self.rank, self.c1, self.c2, self.c3)
@@ -229,10 +218,8 @@ def enumerate_admissible(
 ) -> list[AdmissibleTriple]:
     """All admissible triples at this rank, ascending in c1.  Raises
     BoundExceeded above ENUMERATE_MAX_TRIPLES triples."""
-    return [
-        AdmissibleTriple(*row)
-        for row in _admissible_rows(X, range(rank, rank + 1), relaxed)
-    ]
+    rows = _admissible_rows(X, range(rank, rank + 1), relaxed)
+    return list(map(AdmissibleTriple._make, rows))
 
 
 # Rank-d block with c1 = 1, used by the third peeling case.
@@ -308,14 +295,13 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str
+class Check(namedtuple("Check", "name passed detail")):
+    """One verdict of validate_witness, with its detail string."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return self._asdict()
 
 
 _CHECK_NAMES = ("availability", "rank", "c1", "c2_c3_forced", "no_trivial_summands")

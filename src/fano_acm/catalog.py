@@ -17,12 +17,18 @@ each call, since they are unbounded.  The symbolic table columns
 (polynomials in d) are read off the numeric Whitney sums at d = 3, 4, 5:
 every such sum is linear in d, so two degrees determine the polynomial and
 the third checks it.
+
+BlockSpec, DPoly, TableRow and Discrepancy, like the package's other value
+records, are collections.namedtuple subclasses with ``__slots__ = ()``, equal
+to a plain tuple of their fields.  BlockId, Decomposition and chow.ChernData
+are the three frozen dataclasses; each equals only its own class.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -103,16 +109,12 @@ class BlockId:
         return {"family": self.family.name, "twist": self.twist}
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(namedtuple("BlockSpec", "family rank base_c1 d_set provenance")):
     """Static data of one block family: rank, Chern data at twist 0 as a
-    function of d, availability, and a short provenance note."""
+    function of d, availability (``d_set``, a frozenset of degrees), and a
+    short provenance note."""
 
-    family: Family
-    rank: int
-    base_c1: int
-    d_set: frozenset[int]
-    provenance: str
+    __slots__ = ()
 
     def base_chern(self, X: FanoThreefold) -> ChernData:
         c2, c3 = _BASE_TAIL[self.family]
@@ -126,16 +128,14 @@ class BlockSpec:
         return chi.numerator
 
 
-@dataclass(frozen=True)
-class DPoly:
+class DPoly(namedtuple("DPoly", "const d_coeff", defaults=(0,))):
     """An integer polynomial const + d_coeff * d in the ambient degree d.
 
     Everything printed in the census table, and every Whitney sum of catalog
     blocks, is linear in d.
     """
 
-    const: int
-    d_coeff: int = 0
+    __slots__ = ()
 
     def __call__(self, d: int) -> int:
         return self.const + self.d_coeff * d
@@ -358,16 +358,14 @@ class Decomposition:
         return tuple(self._expanded(BlockId.sort_key))
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """One census-table row, transcribed verbatim (misprints included)."""
+class TableRow(
+    namedtuple("TableRow", "d_set rank c1 c2_printed c3_printed decomposition")
+):
+    """One census-table row, transcribed verbatim (misprints included): the
+    degrees it applies to, rank, c1, the printed c2 and c3 as DPolys, and
+    its Decomposition."""
 
-    d_set: frozenset[int]
-    rank: int
-    c1: int
-    c2_printed: DPoly
-    c3_printed: DPoly
-    decomposition: Decomposition
+    __slots__ = ()
 
 
 _SC1 = BlockId(Family.SC, 1)
@@ -422,8 +420,12 @@ def table1_rows() -> list[TableRow]:
     return list(_TABLE1)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(
+    namedtuple(
+        "Discrepancy",
+        "d rank c1 printed_c2 printed_c3 computed_c2 computed_c3 forced_c2 forced_c3",
+    )
+):
     """A table row whose printed invariants disagree with the recomputation.
 
     ``computed`` values come from the Whitney sum of the row's decomposition,
@@ -431,15 +433,7 @@ class Discrepancy:
     flagged when anything differs from the printed data.
     """
 
-    d: int
-    rank: int
-    c1: int
-    printed_c2: int
-    printed_c3: int
-    computed_c2: int
-    computed_c3: int
-    forced_c2: int
-    forced_c3: int
+    __slots__ = ()
 
 
 def _checked_rows(

@@ -16,6 +16,7 @@ and no tolerance anywhere in this package.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,15 +67,20 @@ def _binom3(n: int) -> int:
     return n * (n - 1) * (n - 2) // 6
 
 
-@dataclass(frozen=True)
-class FanoThreefold:
+class FanoThreefold(namedtuple("FanoThreefold", "d")):
     """The ambient variety V_d.  Only d = 3, 4, 5 occur in this family."""
 
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d not in (3, 4, 5):
-            raise ValueError(f"V_d requires d in {{3, 4, 5}}, got d={self.d}")
+    def __new__(cls, d: int) -> "FanoThreefold":
+        if d not in (3, 4, 5):
+            raise ValueError(f"V_d requires d in {{3, 4, 5}}, got d={d}")
+        return super().__new__(cls, d)
+
+    @classmethod
+    def _make(cls, iterable) -> "FanoThreefold":
+        # namedtuple's _make, which _replace calls, would skip the check
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"V_{self.d}"

@@ -5,16 +5,17 @@ stdout (diagnostics to stderr) as human text (default), json or csv.  Output
 is deterministic: identical invocations produce byte-identical output, so
 json and csv are safe for golden files.
 
-Exit codes: 0 success; 1 invalid input (bad flags, d outside {3,4,5},
-rank < 3, or < 0 for oracle, an enumeration or witness bound exceeded); 2 a
-valid query with a negative answer (no matching rank-2 model, or a
-non-admissible witness request); 3 an internal error, an invariant of the
-library's own arithmetic that failed (chow.InternalError), reported on
-stderr as "internal error: ...".  An empty enumeration is a complete
-answer, not a negative one: `census --max-rank 2` prints an empty table and
-an `oracle` that finds no decomposition prints an empty list, both with
-exit 0.  Under main(), a stdout that its reader closes early (`| head`)
-ends the process quietly with exit 1.
+Exit codes: 0 success; 1 invalid input (bad flags, an int flag of more than
+4300 digits among them, d outside {3,4,5}, rank < 3, or < 0 for oracle, an
+enumeration or witness bound exceeded); 2 a valid query with a negative
+answer (no matching rank-2 model, or a non-admissible witness request); 3 an
+internal error, an invariant of the library's own arithmetic that failed
+(chow.InternalError), reported on stderr as "internal error: ...".  An
+answer prints in full, however many digits it has.  An empty enumeration
+is a complete answer, not a negative one: `census --max-rank 2` prints an
+empty table and an `oracle` that finds no decomposition prints an empty
+list, both with exit 0.  Under main(), a stdout that its reader closes
+early (`| head`) ends the process quietly with exit 1.
 
 There is one output path.  A handler returns a _Result: one zero-argument
 maker per format (the json payload, the csv header and rows, the human
@@ -51,8 +52,9 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import chain, islice
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .acm import (
     BoundExceeded, InvalidRank, NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows,
@@ -133,14 +135,13 @@ def _json_text(obj: object) -> str:
     return f"{text[0]}\n{_INDENT}{sep.join(items)}\n{text[-1]}"
 
 
-class _Result(NamedTuple):
-    """A handler's answer, with one maker per output format.  A maker does
-    only its own format's work, so a call pays for one rendering."""
+class _Result(namedtuple("_Result", "json csv human note", defaults=(None,))):
+    """A handler's answer, with one maker per output format: json() gives
+    the payload, csv() the header and rows, human() at least one line.  A
+    maker does only its own format's work, so a call pays for one rendering.
+    A note is a negative answer, for stderr, and means exit 2."""
 
-    json: Callable[[], object]  # the payload
-    csv: Callable[[], tuple[Sequence[str], Iterable[Sequence[object]]]]  # header, rows
-    human: Callable[[], Iterable[str]]  # lines, at least one
-    note: str | None = None  # a negative answer, for stderr; exit 2
+    __slots__ = ()
 
 
 def _emit(result: _Result | None, args: argparse.Namespace) -> int:
@@ -234,10 +235,7 @@ def _cmd_admissible(X: FanoThreefold, args: argparse.Namespace) -> _Result:
             "d": X.d, "rank": args.rank, "relaxed": args.relaxed,
             "triples": [t.to_json() for t in triples],
         },
-        lambda: (
-            _TRIPLE_HEADER,
-            [[t.d, t.rank, t.c1, t.c2, t.c3, t.curve_degree, t.curve_genus] for t in triples],
-        ),
+        lambda: (_TRIPLE_HEADER, triples),  # a triple is its csv row
         lambda: [f"{X}: rank {args.rank}, {mode} admissible c1 values: {len(triples)}"] + [
             f"  c1={t.c1}: c2={t.c2}, c3={t.c3}, "
             f"curve degree {t.curve_degree}, genus {t.curve_genus}"
@@ -433,6 +431,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     X = None if args.d is None else FanoThreefold(args.d)
+    # The parser refuses ints of over 4300 digits, CPython's process-wide
+    # int/str limit; answers can be longer, so lift it for this call only.
+    # Before 3.10.7 there is no limit, and getattr gives 0, meaning none.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _emit(args.func(X, args), args)
     except NotAdmissible as exc:
@@ -444,6 +448,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (InvalidRank, BoundExceeded, UnavailableBlock, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

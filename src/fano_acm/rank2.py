@@ -15,7 +15,7 @@ inputs are handled correctly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .catalog import BlockId, Family, block_chern
 from .chow import ChernData, FanoThreefold, twist, whitney_sum
@@ -32,19 +32,18 @@ __all__ = [
 _MODEL_FAMILIES = (Family.SL, Family.SC, Family.SE)
 
 
-@dataclass(frozen=True)
-class TwistOf:
-    """The query invariants belong to family(t) for a unique twist t."""
+class TwistOf(namedtuple("TwistOf", "family twist")):
+    """The query invariants belong to family(t), family being SL, SC or SE,
+    for a unique twist t."""
 
-    family: Family  # SL, SC or SE
-    twist: int
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
         return f"TwistOf{self.family.name}"
 
     def chern(self, X: FanoThreefold) -> ChernData:
-        return twist(block_chern(BlockId(self.family, 0), X), X, self.twist)
+        return block_chern(BlockId(self.family, self.twist), X)
 
     def render(self) -> str:
         return BlockId(self.family, self.twist).render()
@@ -53,13 +52,10 @@ class TwistOf:
         return {"kind": self.kind, "twist": self.twist}
 
 
-@dataclass(frozen=True)
-class SplitLineBundles:
+class SplitLineBundles(namedtuple("SplitLineBundles", "a b")):
     """The query invariants belong to O(a) + O(b), a >= b."""
 
-    a: int
-    b: int
-
+    __slots__ = ()
     kind = "split"
 
     def chern(self, X: FanoThreefold) -> ChernData:
@@ -74,11 +70,14 @@ class SplitLineBundles:
         return {"kind": self.kind, "a": self.a, "b": self.b}
 
 
-@dataclass(frozen=True)
-class NoACMBundle:
+class NoACMBundle(namedtuple("NoACMBundle", "")):
     """No bundle without intermediate cohomology has the query invariants."""
 
+    __slots__ = ()
     kind = "none"
+
+    def __bool__(self) -> bool:
+        return True  # a verdict, not an empty tuple
 
     def to_json(self) -> dict:
         return {"kind": self.kind}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -14,15 +15,23 @@ from hypothesis import strategies as st
 
 import fano_acm
 from fano_acm import (
+    AdmissibleTriple,
     BlockId,
+    BlockSpec,
     BoundExceeded,
     ChernData,
     Check,
     Decomposition,
+    Discrepancy,
+    DPoly,
     FanoThreefold,
     Family,
     InvalidRank,
+    NoACMBundle,
     NotAdmissible,
+    SplitLineBundles,
+    TableRow,
+    TwistOf,
     admissible,
     block_available,
     chi_twist,
@@ -42,6 +51,7 @@ from fano_acm.acm import (
     _admissible_count,
     _admissible_rows,
 )
+from fano_acm.cli import _Result
 from support import VARIETIES
 
 SC1 = BlockId(Family.SC, 1)
@@ -398,19 +408,104 @@ def test_validation_report_keeps_every_check(X, pairs, target):
 
 
 def test_import_does_not_load_typing():
-    # ValidationReport subclasses collections.namedtuple; typing.NamedTuple
-    # would load typing on every import.  -S keeps site start-up, which may
-    # load typing itself, out of the check.
+    # The value records, cli._Result included, subclass collections.namedtuple;
+    # typing.NamedTuple would load typing on every import.  -S keeps site
+    # start-up, which may load typing itself, out of the check.
     src = str(pathlib.Path(fano_acm.__file__).parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-S", "-c",
-         f"import sys; sys.path.insert(0, {src!r}); import fano_acm; "
-         "print('typing' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+    for module in ("fano_acm", "fano_acm.cli"):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+             "print('typing' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (0, "False\n"), (module, result.stderr)
+
+
+_RECORDS = [
+    # (type, positional arguments, the same as keywords, repr)
+    (FanoThreefold, (3,), {"d": 3}, "FanoThreefold(d=3)"),
+    (
+        BlockSpec,
+        (Family.F51, 5, 1, frozenset({5}), "on V_5"),
+        {"family": Family.F51, "rank": 5, "base_c1": 1, "d_set": frozenset({5}),
+         "provenance": "on V_5"},
+        "BlockSpec(family=<Family.F51: 'F_{5,1}'>, rank=5, base_c1=1, "
+        "d_set=frozenset({5}), provenance='on V_5')",
+    ),
+    (DPoly, (3,), {"const": 3, "d_coeff": 0}, "DPoly(const=3, d_coeff=0)"),
+    (
+        TableRow,
+        (frozenset({5}), 5, 1, DPoly(5), DPoly(3), Decomposition((F51,))),
+        {"d_set": frozenset({5}), "rank": 5, "c1": 1, "c2_printed": DPoly(5),
+         "c3_printed": DPoly(3), "decomposition": Decomposition((F51,))},
+        "TableRow(d_set=frozenset({5}), rank=5, c1=1, "
+        "c2_printed=DPoly(const=5, d_coeff=0), c3_printed=DPoly(const=3, d_coeff=0), "
+        "decomposition=Decomposition(blocks=(BlockId(family=<Family.F51: 'F_{5,1}'>, "
+        "twist=0),)))",
+    ),
+    (
+        Discrepancy,
+        (5, 5, 4, 35, 22, 35, 32, 35, 32),
+        {"d": 5, "rank": 5, "c1": 4, "printed_c2": 35, "printed_c3": 22,
+         "computed_c2": 35, "computed_c3": 32, "forced_c2": 35, "forced_c3": 32},
+        "Discrepancy(d=5, rank=5, c1=4, printed_c2=35, printed_c3=22, computed_c2=35, "
+        "computed_c3=32, forced_c2=35, forced_c3=32)",
+    ),
+    (
+        AdmissibleTriple,
+        (3, 4, 2, 7, 4, 7, 3),
+        {"d": 3, "rank": 4, "c1": 2, "c2": 7, "c3": 4, "curve_degree": 7,
+         "curve_genus": 3},
+        "AdmissibleTriple(d=3, rank=4, c1=2, c2=7, c3=4, curve_degree=7, curve_genus=3)",
+    ),
+    (
+        Check,
+        ("rank", True, "rank sum 4, target 4"),
+        {"name": "rank", "passed": True, "detail": "rank sum 4, target 4"},
+        "Check(name='rank', passed=True, detail='rank sum 4, target 4')",
+    ),
+    (
+        TwistOf,
+        (Family.SC, 1),
+        {"family": Family.SC, "twist": 1},
+        "TwistOf(family=<Family.SC: 'S_C'>, twist=1)",
+    ),
+    (SplitLineBundles, (2, -1), {"a": 2, "b": -1}, "SplitLineBundles(a=2, b=-1)"),
+    (NoACMBundle, (), {}, "NoACMBundle()"),
+    (
+        _Result,  # builtins as makers, since a lambda does not pickle
+        (dict, tuple, list),
+        {"json": dict, "csv": tuple, "human": list, "note": None},
+        "_Result(json=<class 'dict'>, csv=<class 'tuple'>, human=<class 'list'>, "
+        "note=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, text", _RECORDS, ids=[r[0].__name__ for r in _RECORDS]
+)
+def test_value_records_behave_as_frozen_records(cls, args, kwargs, text):
+    record, twin = cls(*args), cls(**kwargs)
+    assert repr(record) == text
+    assert record == twin and hash(record) == hash(twin)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record and hash(copy) == hash(record)
+    assert record  # NoACMBundle() too, though it has no fields
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_fano_threefold_checks_d_however_it_is_built():
+    message = r"^V_d requires d in \{3, 4, 5\}, got d=7$"
+    for build in (lambda: FanoThreefold(7), lambda: FanoThreefold._make([7]),
+                  lambda: FanoThreefold(3)._replace(d=7)):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 # --- oracle -------------------------------------------------------------------

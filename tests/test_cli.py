@@ -23,8 +23,11 @@ from fano_acm import (
     FanoThreefold,
     InternalError,
     admissible,
+    chi_twist,
+    format_rational,
     make_triple,
     table1_rows,
+    twist,
 )
 from fano_acm import cli
 from fano_acm.cli import _build_parser, _json_text, _UsageError, run
@@ -417,6 +420,94 @@ def test_internal_error_from_a_library_invariant_exits_3(capsys, monkeypatch):
     assert err == "internal error: (9, 16, 25) at d = 3, 4, 5 is not linear in d\n"
 
 
+# --- integer size -----------------------------------------------------------------
+
+def _with_digits(n: int) -> int:
+    """857142857..., n digits long."""
+    return (10**n - 1) * 6 // 7
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("command", ["chi", "twist"])
+def test_answers_above_the_int_str_digit_limit_print_exactly(capsys, command, fmt):
+    # c1^3 and t^3 d have about 4320 digits, above CPython's default limit
+    # of 4300 on int/str conversion
+    X, big = FanoThreefold(3), 10**1440
+    c = ChernData(3, big if command == "chi" else 1, 0, 0)
+    argv = [command, "--d", "3", "--rank", "3", "--c1", str(c.c1), "--c2", "0",
+            "--c3", "0", "--format", fmt]
+    if command == "twist":
+        argv += ["--t", str(big)]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        answer = (format_rational(chi_twist(c, X, 0)) if command == "chi"
+                  else str(twist(c, X, big).c3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(answer) > 4300 and answer in out
+
+
+# every int the parser accepts: up to 4300 digits, either sign
+_ANY_INT = st.integers(-20, 20) | st.builds(
+    lambda n, negative: -_with_digits(n) if negative else _with_digits(n),
+    st.integers(1, 4300),
+    st.booleans(),
+)
+_INT_FLAGS = {
+    "chi": ("--rank", "--c1", "--c2", "--c3", "--twist"),
+    "twist": ("--rank", "--c1", "--c2", "--c3", "--t"),
+    "classify2": ("--c1", "--c2"),
+    "admissible": ("--rank",),
+    "witness": ("--rank", "--c1"),
+    "census": ("--max-rank",),
+    "verify-table": (),
+    # --bound stays at its default: it is the caller's own cap on a search
+    # whose cost grows as a high power of the rank
+    "oracle": ("--rank", "--c1"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("command", list(_INT_FLAGS))
+def test_integers_up_to_the_parser_limit_get_an_answer_or_a_refusal(command, data):
+    d = data.draw(st.sampled_from([3, 4, 5, _with_digits(4300)]), label="d")
+    argv = [command, "--d", str(d), "--format",
+            data.draw(st.sampled_from(["human", "json", "csv"]), label="format")]
+    for flag in _INT_FLAGS[command]:
+        argv += [flag, str(data.draw(_ANY_INT, label=flag))]
+    limit = sys.get_int_max_str_digits()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "int_max_str_digits" not in err.getvalue()
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_more_than_4300_digits_is_a_malformed_flag(capsys):
+    code, out, err = invoke(capsys, ["classify2", "--d", "3", "--c1", "9" * 4301,
+                                     "--c2", "0"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --c1: invalid int value: '999")
+
+
+def test_run_restores_the_int_str_digit_limit_when_it_raises(monkeypatch):
+    def raising(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "twist", raising)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(RuntimeError):
+        run(["twist", "--d", "3", "--rank", "2", "--c1", "0", "--c2", "1", "--c3", "0",
+             "--t", "1"])
+    assert sys.get_int_max_str_digits() == limit
+
+
 # --- json encoding ----------------------------------------------------------------------
 
 _STRINGS = st.lists(
@@ -674,8 +765,8 @@ def test_module_entry_point():
 def test_closed_stdout_ends_quietly_with_exit_1(argv):
     # Both outputs are megabytes, far more than a pipe holds, so the
     # process is still writing when the reader goes away.  stdout is left
-    # buffered, as by default: unbuffered (PYTHONUNBUFFERED), a text write
-    # that the closed pipe cuts short is dropped without an error.
+    # buffered, as by default; unbuffered (PYTHONUNBUFFERED), main() puts a
+    # buffered layer under it, and the next test covers that case.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "fano_acm", *argv],

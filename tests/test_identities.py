@@ -173,3 +173,26 @@ def test_three_degrees_recover_a_linear_polynomial():
     a, b = _symbols("a b")
     poly = _linear_in_d(tuple(a + b * n for n in (3, 4, 5)))
     assert (poly.const, poly.d_coeff) == (a, b)
+
+
+# --- forced classes under Whitney sums, and Whitney powers -------------------------
+
+def _forced(rank, c1_) -> ChernData:
+    return ChernData(rank, c1_, forced_c2(X, rank, c1_), forced_c3(X, rank, c1_))
+
+
+def test_forced_classes_are_closed_under_whitney_sum():
+    # ranks of at least 3, so that ChernData accepts the forced tail; both
+    # sides are polynomials in the ranks, so the identity holds at every rank
+    r1, r2 = s_a + 3, s_b + 3
+    assert whitney_sum(_forced(r1, c1a), _forced(r2, c1b), X) == _forced(
+        r1 + r2, c1a + c1b
+    )
+
+
+def test_whitney_power_is_the_k_fold_whitney_sum():
+    # induction on k: no copies are the zero sheaf, and k + 1 copies are k
+    # copies plus one more
+    c = ChernData(s_a + 3, c1a, p0, q0)
+    assert whitney_power(c, X, 0) == ChernData.trivial(0)
+    assert whitney_power(c, X, k + 1) == whitney_sum(whitney_power(c, X, k), c, X)
