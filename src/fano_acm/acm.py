@@ -29,7 +29,8 @@ ValidationReport is those facts plus ``checks``, which builds the Check
 records and their detail strings only when it is read, so a validation
 costs its Whitney total plus a few integer comparisons.
 oracle_enumerate() independently brute-forces all such sums; every sum it
-finds carries the forced classes.
+finds carries the forced classes.  It refuses ranks above ORACLE_MAX_RANK,
+whatever bound it is given, with BoundExceeded.
 
 The relaxed admissibility mode widens the lower bound to (r-1)/d <= c1
 (dropping the section-count hypothesis); no witness is attempted there, and
@@ -46,7 +47,8 @@ the forced classes once per c1, at rank 2, and each row is a few integer
 additions (tests/test_identities.py proves the three splits).
 
 AdmissibleTriple, Check and ValidationReport are collections.namedtuple
-subclasses with ``__slots__ = ()``; see catalog for the three dataclasses.
+subclasses with ``__slots__ = ()``; see catalog for the three slotted
+records, ChernData, BlockId and Decomposition.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ __all__ = [
     "ValidationReport",
     "oracle_enumerate",
     "ORACLE_DEFAULT_BOUND",
+    "ORACLE_MAX_RANK",
     "WITNESS_MAX_RANK",
     "ENUMERATE_MAX_TRIPLES",
 ]
@@ -100,8 +103,9 @@ class NotAdmissible(ValueError):
 
 class BoundExceeded(ValueError):
     """A query above a size bound: brute-force enumeration above its
-    configured bound, an enumeration of more than ENUMERATE_MAX_TRIPLES
-    admissible triples, or a witness above WITNESS_MAX_RANK."""
+    configured bound or ORACLE_MAX_RANK, an enumeration of more than
+    ENUMERATE_MAX_TRIPLES admissible triples, or a witness above
+    WITNESS_MAX_RANK."""
 
 
 class AdmissibleTriple(
@@ -373,6 +377,10 @@ def validate_witness(
 
 ORACLE_DEFAULT_BOUND = 12
 
+# Largest rank oracle_enumerate() searches, whatever its bound: rank 60
+# takes about a second, and the search grows quickly past it.
+ORACLE_MAX_RANK = 60
+
 # Blocks eligible as witness summands: everything satisfying the forced-class
 # identities at its own (rank, c1).  O_V is excluded (trivial summands are
 # forbidden) and so is S_L, whose c2 = 1 differs from the forced value 2 at
@@ -397,8 +405,10 @@ def oracle_enumerate(
     X: FanoThreefold, rank: int, c1: int, bound: int = ORACLE_DEFAULT_BOUND
 ) -> list[Decomposition]:
     """All multisets of eligible blocks with rank sum r and c1 sum c1,
-    by exhaustive search.  Raises BoundExceeded for rank above ``bound``,
-    then InvalidRank for a negative rank."""
+    by exhaustive search.  Raises BoundExceeded for rank above
+    ORACLE_MAX_RANK or ``bound``, then InvalidRank for a negative rank."""
+    if rank > ORACLE_MAX_RANK:
+        raise BoundExceeded(f"rank {rank} exceeds the oracle ceiling {ORACLE_MAX_RANK}")
     if rank > bound:
         raise BoundExceeded(f"rank {rank} exceeds the enumeration bound {bound}")
     if rank < 0:

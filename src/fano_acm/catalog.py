@@ -21,7 +21,8 @@ the third checks it.
 BlockSpec, DPoly, TableRow and Discrepancy, like the package's other value
 records, are collections.namedtuple subclasses with ``__slots__ = ()``, equal
 to a plain tuple of their fields.  BlockId, Decomposition and chow.ChernData
-are the three frozen dataclasses; each equals only its own class.
+are frozen records with ``__slots__`` (chow._Record), each equal only to its
+own class; a BlockId keeps its (family order, twist) sort key in a slot.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import enum
 import functools
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .chow import (
     ChernData,
     FanoThreefold,
     InternalError,
+    _Record,
     euler_char,
     forced_c2,
     forced_c3,
@@ -90,15 +91,19 @@ class UnavailableBlock(ValueError):
     """Raised when a block family is not defined on the requested V_d."""
 
 
-@dataclass(frozen=True)
-class BlockId:
+class BlockId(_Record):
     """A catalog block: a family together with a twist, e.g. S_C(1)."""
 
-    family: Family
-    twist: int = 0
+    __slots__ = ("family", "twist", "_key")
+    _fields = __match_args__ = ("family", "twist")
+
+    def __init__(self, family: Family, twist: int = 0) -> None:
+        _set_family(self, family)
+        _set_twist(self, twist)
+        _set_key(self, (_FAMILY_ORDER[family], twist))
 
     def sort_key(self) -> tuple[int, int]:
-        return (_FAMILY_ORDER[self.family], self.twist)
+        return self._key
 
     def render(self) -> str:
         if self.twist == 0:
@@ -107,6 +112,9 @@ class BlockId:
 
     def to_json(self) -> dict:
         return {"family": self.family.name, "twist": self.twist}
+
+
+_set_family, _set_twist, _set_key = BlockId._setters()
 
 
 class BlockSpec(namedtuple("BlockSpec", "family rank base_c1 d_set provenance")):
@@ -252,7 +260,7 @@ def _block_rank_c1(block: BlockId) -> tuple[int, int]:
 
 
 class _BlocksField:
-    """The ``blocks`` field of Decomposition, a data descriptor.
+    """The ``blocks`` field of Decomposition, a descriptor.
 
     Until __post_init__ has run it reads back the tuple given to the
     constructor, so a hook wrapped around __post_init__ sees the input.
@@ -261,18 +269,13 @@ class _BlocksField:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return ()  # the dataclass default
-        given = obj.__dict__.get("blocks")
-        if given is not None:
-            return given
+            return self
+        if obj._given is not None:
+            return obj._given
         return tuple(obj._expanded(lambda b: b))
 
-    def __set__(self, obj, value):
-        obj.__dict__["blocks"] = value
 
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(_Record):
     """A multiset of blocks representing a direct sum.
 
     Only ``counts`` is stored: (block, multiplicity) pairs with distinct
@@ -285,20 +288,27 @@ class Decomposition:
     costs the same at any multiplicity until it is expanded.
     """
 
-    blocks: tuple[BlockId, ...] = _BlocksField()
-    counts: tuple[tuple[BlockId, int], ...] | None = field(default=None, repr=False)
+    __slots__ = ("counts", "_given")
+    _fields = ("blocks",)
+    __match_args__ = ("blocks", "counts")
+    blocks = _BlocksField()
+
+    def __init__(self, blocks: tuple[BlockId, ...] = (),
+                 counts: tuple[tuple[BlockId, int], ...] | None = None) -> None:
+        _set_counts(self, counts)
+        _set_given(self, blocks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        given = self.__dict__.pop("blocks")
-        if self.counts is None:
+        given, pairs = self._given, self.counts
+        _set_given(self, None)
+        if pairs is None:
             pairs = [(b, 1) for b in given]
         elif given:
             raise ValueError("give a Decomposition its blocks or its counts, not both")
-        else:
-            pairs = self.counts
         counts: list[tuple[BlockId, int]] = []
         last = None
-        keyed = sorted(((b.sort_key(), b, k) for b, k in pairs), key=itemgetter(0))
+        keyed = sorted([(b._key, b, k) for b, k in pairs], key=itemgetter(0))
         for key, b, k in keyed:
             if k < 0:
                 raise ValueError(f"negative count {k} of {b.render()}")
@@ -309,15 +319,13 @@ class Decomposition:
             else:
                 counts.append((b, k))
                 last = key
-        object.__setattr__(self, "counts", tuple(counts))
+        _set_counts(self, tuple(counts))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.counts == other.counts
-        return NotImplemented
+    def _values(self) -> tuple:
+        return self.counts  # equality and hash; the repr shows blocks
 
-    def __hash__(self) -> int:
-        return hash(self.counts)
+    def __reduce__(self):
+        return self.__class__, ((), self.counts)
 
     def _expanded(self, per_block: Callable[[BlockId], object]) -> list:
         # per_block is called once per distinct block, its value repeated
@@ -356,6 +364,9 @@ class Decomposition:
 
     def sort_key(self) -> tuple:
         return tuple(self._expanded(BlockId.sort_key))
+
+
+_set_counts, _set_given = Decomposition._setters()
 
 
 class TableRow(

@@ -17,7 +17,6 @@ and no tolerance anywhere in this package.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -86,8 +85,46 @@ class FanoThreefold(namedtuple("FanoThreefold", "d")):
         return f"V_{self.d}"
 
 
-@dataclass(frozen=True)
-class ChernData:
+class _Record:
+    """Base of the slotted records ChernData, catalog.BlockId and
+    catalog.Decomposition: repr from the ``_fields``, equality with the same
+    class only, hash and pickling from their ``_values()``, and a
+    dataclass's FrozenInstanceError on assignment and deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *value) -> None:
+        import dataclasses  # on this error path only, to keep it off the import path
+        verb = "assign to" if value else "delete"
+        raise dataclasses.FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    @classmethod
+    def _setters(cls) -> list:
+        # the setters of the class's own slots, in order, which bypass __setattr__
+        return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+
+class ChernData(_Record):
     """Chern classes of a rank-r sheaf, as integers in the H/L/P basis.
 
     Chern classes above the rank vanish, so rank <= 2 forces the tail to
@@ -95,20 +132,22 @@ class ChernData:
     always carries c3 = 0, which keeps Whitney sums uniform across ranks.
     """
 
-    rank: int
-    c1: int
-    c2: int
-    c3: int
+    __slots__ = _fields = __match_args__ = ("rank", "c1", "c2", "c3")
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
-        if self.rank == 0 and (self.c1, self.c2, self.c3) != (0, 0, 0):
+    def __init__(self, rank: int, c1: int, c2: int, c3: int) -> None:
+        # in this order: a symbolic rank may not decide rank < 3
+        if rank < 0:
+            raise ValueError(f"rank must be non-negative, got {rank}")
+        if rank == 0 and (c1, c2, c3) != (0, 0, 0):
             raise ValueError("rank 0 forces c1 = c2 = c3 = 0")
-        if self.rank == 1 and (self.c2, self.c3) != (0, 0):
+        if rank == 1 and (c2, c3) != (0, 0):
             raise ValueError("rank 1 forces c2 = c3 = 0")
-        if self.rank == 2 and self.c3 != 0:
+        if rank == 2 and c3 != 0:
             raise ValueError("rank 2 forces c3 = 0")
+        _set_rank(self, rank)
+        _set_c1(self, c1)
+        _set_c2(self, c2)
+        _set_c3(self, c3)
 
     @classmethod
     def line_bundle(cls, a: int) -> "ChernData":
@@ -122,6 +161,9 @@ class ChernData:
 
     def tuple(self) -> tuple[int, int, int, int]:
         return (self.rank, self.c1, self.c2, self.c3)
+
+
+_set_rank, _set_c1, _set_c2, _set_c3 = ChernData._setters()
 
 
 def twist(c: ChernData, X: FanoThreefold, t: int) -> ChernData:

@@ -34,7 +34,9 @@ in one C call whose item separator carries the newline and the indent; a
 list of such dicts (admissible triples, table rows) is encoded whole in one
 call and its joins re-indented; any other container encodes its scalars in
 one call and splices its nested containers in.  This is exact because an
-encoded string never contains a raw newline.
+encoded string never contains a raw newline.  The json and csv modules are
+imported by the first answer in their format, so importing this module,
+or a human answer, loads neither.
 
 run() may be called any number of times in one process.  The parsers are
 built from the _COMMANDS table on the first call and reused; argparse keeps
@@ -46,10 +48,8 @@ alone, with the same namespace, errors and help as the top-level parser.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import os
 import sys
 from collections import namedtuple
@@ -87,9 +87,14 @@ def _chern_json(c: ChernData) -> dict:
 
 _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)
-# No indent, so both encode in C; the separator does the indenting.
-_FLAT = json.JSONEncoder(separators=(",\n" + _INDENT, ": "))
-_ROWS = json.JSONEncoder(separators=(",\n" + 2 * _INDENT, ": "))
+
+
+@functools.cache
+def _encoder(depth: int):
+    # made on first use, so that only a json answer imports json; no indent,
+    # so it encodes in C, and the separator does the indenting
+    import json
+    return json.JSONEncoder(separators=(",\n" + depth * _INDENT, ": "))
 
 
 def _holds_container(values) -> bool:
@@ -98,11 +103,12 @@ def _holds_container(values) -> bool:
 
 def _json_text(obj: object) -> str:
     """json.dumps(obj, indent=2), through the C encoder."""
+    flat = _encoder(1)
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return _FLAT.encode(obj)
+        return flat.encode(obj)
     is_dict = isinstance(obj, dict)
     if not _holds_container(obj.values() if is_dict else obj):
-        text = _FLAT.encode(obj)
+        text = flat.encode(obj)
         return f"{text[0]}\n{_INDENT}{text[1:-1]}\n{text[-1]}"
     if (
         not is_dict
@@ -113,7 +119,7 @@ def _json_text(obj: object) -> str:
         # Non-empty flat dicts, '[{..},\n    {..}]': only a dict join has a
         # '}' before the separator, since a flat dict's values are scalars.
         sep = ",\n" + 2 * _INDENT
-        text = _ROWS.encode(obj)[2:-2].replace(
+        text = _encoder(2).encode(obj)[2:-2].replace(
             "}" + sep + "{", f"\n{_INDENT}}},\n{_INDENT}{{\n{2 * _INDENT}"
         )
         return f"[\n{_INDENT}{{\n{2 * _INDENT}{text}\n{_INDENT}}}\n]"
@@ -121,12 +127,12 @@ def _json_text(obj: object) -> str:
     # no encoded string holds a raw newline, the separator splits the items.
     if is_dict:
         values = list(obj.values())
-        text = _FLAT.encode(
+        text = flat.encode(
             {k: None if isinstance(v, _CONTAINERS) else v for k, v in obj.items()}
         )
     else:
         values = obj
-        text = _FLAT.encode([None if isinstance(v, _CONTAINERS) else v for v in obj])
+        text = flat.encode([None if isinstance(v, _CONTAINERS) else v for v in obj])
     sep = ",\n" + _INDENT
     items = text[1:-1].split(sep)
     for i, value in enumerate(values):
@@ -152,6 +158,7 @@ def _emit(result: _Result | None, args: argparse.Namespace) -> int:
     if args.format == "json":
         text = _json_text(result.json()) + "\n"
     elif args.format == "csv":
+        import csv
         header, rows = result.csv()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

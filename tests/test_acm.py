@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -47,6 +50,7 @@ from fano_acm import (
 )
 from fano_acm.acm import (
     ENUMERATE_MAX_TRIPLES,
+    ORACLE_MAX_RANK,
     WITNESS_MAX_RANK,
     _admissible_count,
     _admissible_rows,
@@ -409,19 +413,22 @@ def test_validation_report_keeps_every_check(X, pairs, target):
 
 def test_import_does_not_load_typing():
     # The value records, cli._Result included, subclass collections.namedtuple;
-    # typing.NamedTuple would load typing on every import.  -S keeps site
-    # start-up, which may load typing itself, out of the check.
+    # typing.NamedTuple would load typing on every import.  ChernData, BlockId
+    # and Decomposition are slotted classes, as dataclasses loads inspect;
+    # the cli imports json and csv only for the format that needs them.  -S
+    # keeps site start-up, which may load typing itself, out of the check.
     src = str(pathlib.Path(fano_acm.__file__).parent.parent)
+    heavy = ("typing", "dataclasses", "inspect", "json", "csv")
     for module in ("fano_acm", "fano_acm.cli"):
         result = subprocess.run(
             [sys.executable, "-S", "-c",
              f"import sys; sys.path.insert(0, {src!r}); import {module}; "
-             "print('typing' in sys.modules)"],
+             f"print([m for m in {heavy!r} if m in sys.modules])"],
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert (result.returncode, result.stdout) == (0, "False\n"), (module, result.stderr)
+        assert (result.returncode, result.stdout) == (0, "[]\n"), (module, result.stderr)
 
 
 _RECORDS = [
@@ -500,6 +507,58 @@ def test_value_records_behave_as_frozen_records(cls, args, kwargs, text):
             setattr(record, name, 0)
 
 
+_SLOTTED = [
+    # (type, positional arguments, the same as keywords, repr, field values,
+    #  a build that fails, its ValueError message)
+    (
+        ChernData, (3, 1, 3, 1), {"rank": 3, "c1": 1, "c2": 3, "c3": 1},
+        "ChernData(rank=3, c1=1, c2=3, c3=1)", (3, 1, 3, 1),
+        lambda: ChernData(2, 0, 1, 1), "rank 2 forces c3 = 0",
+    ),
+    (
+        BlockId, (Family.SC, 1), {"family": Family.SC, "twist": 1},
+        "BlockId(family=<Family.SC: 'S_C'>, twist=1)", (Family.SC, 1),
+        lambda: Decomposition(counts=((SC1, -1),)), "negative count -1 of S_C(1)",
+    ),
+    (
+        Decomposition, ((SE1, SC1, SE1),), {"blocks": (SE1, SC1, SE1)},
+        "Decomposition(blocks=(BlockId(family=<Family.SC: 'S_C'>, twist=1), "
+        "BlockId(family=<Family.SE: 'S_E'>, twist=1), "
+        "BlockId(family=<Family.SE: 'S_E'>, twist=1)))",
+        ((SC1, SE1, SE1), ((SC1, 1), (SE1, 2))),
+        lambda: Decomposition((SC1,), counts=((SC1, 1),)),
+        "give a Decomposition its blocks or its counts, not both",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, text, values, bad, message", _SLOTTED,
+    ids=[r[0].__name__ for r in _SLOTTED],
+)
+def test_slotted_records_behave_as_frozen_dataclasses(
+    cls, args, kwargs, text, values, bad, message
+):
+    record, twin = cls(*args), cls(**kwargs)
+    assert repr(record) == text
+    assert record == twin and hash(record) == hash(twin)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and hash(copied) == hash(record)
+    assert record != values and values != record  # equal only to its own class
+    assert cls.__match_args__ == tuple(kwargs) + (("counts",) if cls is Decomposition else ())
+    match record:
+        case cls(first):
+            assert first == values[0]
+    for name in cls.__match_args__:
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to"):
+            setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete"):
+            delattr(record, name)
+    assert record == twin
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bad()
+
+
 def test_fano_threefold_checks_d_however_it_is_built():
     message = r"^V_d requires d in \{3, 4, 5\}, got d=7$"
     for build in (lambda: FanoThreefold(7), lambda: FanoThreefold._make([7]),
@@ -527,6 +586,21 @@ def test_oracle_bound():
     with pytest.raises(BoundExceeded):
         oracle_enumerate(FanoThreefold(3), 13, 5)
     assert oracle_enumerate(FanoThreefold(3), 13, 5, bound=13)
+
+
+def test_oracle_refuses_ranks_above_its_ceiling_whatever_the_bound():
+    assert ORACLE_MAX_RANK == 60
+    for rank, bound in ((61, 1000), (1000, 1000), (10**18, 10**18), (61, 0)):
+        with pytest.raises(BoundExceeded, match=f"^rank {rank} exceeds the oracle ceiling 60$"):
+            oracle_enumerate(FanoThreefold(5), rank, rank // 2, bound=bound)
+
+
+def test_oracle_answers_at_its_ceiling():
+    X = FanoThreefold(5)
+    decs = oracle_enumerate(X, ORACLE_MAX_RANK, 60, bound=ORACLE_MAX_RANK)
+    assert Decomposition(counts=((SE1, 30),)) in decs and len(decs) == 11
+    for dec in decs:
+        assert dec.chern(X) == make_triple(X, 60, 60).chern()
 
 
 def test_oracle_refuses_a_negative_rank():

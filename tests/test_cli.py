@@ -375,6 +375,16 @@ def test_oracle_bound_exceeded_is_input_error(capsys):
     assert "exceeds the enumeration bound" in err
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_oracle_above_its_ceiling_is_input_error_whatever_the_bound(capsys, fmt):
+    code, out, err = invoke(capsys, ["oracle", "--d", "5", "--rank", "1000", "--c1", "500",
+                                     "--bound", "1000", "--format", fmt])
+    assert (code, out, err) == (1, "", "error: rank 1000 exceeds the oracle ceiling 60\n")
+    code, out, _ = invoke(capsys, ["oracle", "--d", "5", "--rank", "60", "--c1", "60",
+                                   "--bound", "60", "--format", fmt])
+    assert code == 0 and out.count("S_E") >= 11  # 11 decompositions, all with S_E(1)
+
+
 # --- input validation ------------------------------------------------------------------
 
 def test_bad_degree_exits_1(capsys):

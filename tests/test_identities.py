@@ -196,3 +196,20 @@ def test_whitney_power_is_the_k_fold_whitney_sum():
     c = ChernData(s_a + 3, c1a, p0, q0)
     assert whitney_power(c, X, 0) == ChernData.trivial(0)
     assert whitney_power(c, X, k + 1) == whitney_sum(whitney_power(c, X, k), c, X)
+
+
+# --- twists: additive in the twist, distributive over Whitney sums ------------------
+
+def test_twist_is_additive_in_the_twist():
+    # F(s)(t) = F(s + t); u0 stands for the twist s
+    c = ChernData(s_a + 3, c1a, p0, q0)
+    assert twist(twist(c, X, u0), X, t) == twist(c, X, u0 + t)
+
+
+def test_twist_distributes_over_whitney_sums():
+    # (A + B)(t) = A(t) + B(t)
+    a = ChernData(s_a + 3, c1a, p0, q0)
+    b = ChernData(s_b + 3, c1b, u0, v0)
+    assert twist(whitney_sum(a, b, X), X, t) == whitney_sum(
+        twist(a, X, t), twist(b, X, t), X
+    )
