@@ -22,7 +22,9 @@ BlockSpec, DPoly, TableRow and Discrepancy, like the package's other value
 records, are collections.namedtuple subclasses with ``__slots__ = ()``, equal
 to a plain tuple of their fields.  BlockId, Decomposition and chow.ChernData
 are frozen records with ``__slots__`` (chow._Record), each equal only to its
-own class; a BlockId keeps its (family order, twist) sort key in a slot.
+own class; a BlockId keeps its (family order, twist) sort key in a slot,
+and a Decomposition stores only its block counts, expanding ``blocks`` from
+them on each read.
 """
 
 from __future__ import annotations
@@ -259,22 +261,6 @@ def _block_rank_c1(block: BlockId) -> tuple[int, int]:
     return spec.rank, spec.base_c1 + spec.rank * block.twist
 
 
-class _BlocksField:
-    """The ``blocks`` field of Decomposition, a descriptor.
-
-    Until __post_init__ has run it reads back the tuple given to the
-    constructor, so a hook wrapped around __post_init__ sees the input.
-    After that it expands ``counts`` afresh on each read; nothing of size
-    rank is stored."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        if obj._given is not None:
-            return obj._given
-        return tuple(obj._expanded(lambda b: b))
-
-
 class Decomposition(_Record):
     """A multiset of blocks representing a direct sum.
 
@@ -282,33 +268,31 @@ class Decomposition(_Record):
     blocks in canonical (family, twist) order and positive multiplicities,
     so equal multisets compare and hash equal.  Give either ``blocks`` in
     any order or ``counts`` (any order, repeats merged, zeros dropped).
-    ``blocks`` lists every summand in canonical order and is expanded from
-    ``counts`` on each read, as are render(), to_json() and sort_key();
-    rank, c1 and chern() work from ``counts`` alone, so a decomposition
-    costs the same at any multiplicity until it is expanded.
+    The ``blocks`` property lists every summand in canonical order,
+    expanded from ``counts`` on each read, as are render(), to_json() and
+    sort_key(); rank, c1 and chern() work from ``counts`` alone, so a
+    decomposition costs the same at any multiplicity until it is expanded.
     """
 
-    __slots__ = ("counts", "_given")
+    __slots__ = ("counts",)
     _fields = ("blocks",)
     __match_args__ = ("blocks", "counts")
-    blocks = _BlocksField()
 
     def __init__(self, blocks: tuple[BlockId, ...] = (),
                  counts: tuple[tuple[BlockId, int], ...] | None = None) -> None:
+        if counts is None:
+            counts = [(b, 1) for b in blocks]
+        elif blocks:
+            raise ValueError("give a Decomposition its blocks or its counts, not both")
         _set_counts(self, counts)
-        _set_given(self, blocks)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        given, pairs = self._given, self.counts
-        _set_given(self, None)
-        if pairs is None:
-            pairs = [(b, 1) for b in given]
-        elif given:
-            raise ValueError("give a Decomposition its blocks or its counts, not both")
+        # Canonicalizes the pairs __init__ stored; a method of its own so that
+        # a tracer can wrap it and read the given summands from ``blocks``.
         counts: list[tuple[BlockId, int]] = []
         last = None
-        keyed = sorted([(b._key, b, k) for b, k in pairs], key=itemgetter(0))
+        keyed = sorted([(b._key, b, k) for b, k in self.counts], key=itemgetter(0))
         for key, b, k in keyed:
             if k < 0:
                 raise ValueError(f"negative count {k} of {b.render()}")
@@ -320,6 +304,10 @@ class Decomposition(_Record):
                 counts.append((b, k))
                 last = key
         _set_counts(self, tuple(counts))
+
+    @property
+    def blocks(self) -> tuple[BlockId, ...]:
+        return tuple(self._expanded(lambda b: b))
 
     def _values(self) -> tuple:
         return self.counts  # equality and hash; the repr shows blocks
@@ -366,7 +354,7 @@ class Decomposition(_Record):
         return tuple(self._expanded(BlockId.sort_key))
 
 
-_set_counts, _set_given = Decomposition._setters()
+(_set_counts,) = Decomposition._setters()
 
 
 class TableRow(

@@ -57,10 +57,10 @@ from collections.abc import Sequence
 from itertools import chain, islice
 
 from .acm import (
-    BoundExceeded, InvalidRank, NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows,
-    enumerate_admissible, oracle_enumerate, validate_witness, witness,
+    NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows, enumerate_admissible,
+    oracle_enumerate, validate_witness, witness,
 )
-from .catalog import TABLE_EXPORT_COLUMNS, UnavailableBlock, _checked_rows, table_export_rows
+from .catalog import TABLE_EXPORT_COLUMNS, _checked_rows, table_export_rows
 from .chow import ChernData, FanoThreefold, InternalError, chi_twist, format_rational, twist
 from .rank2 import NoACMBundle, SplitLineBundles, TwistOf, classify_rank2
 
@@ -452,7 +452,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except InternalError as exc:  # a ValueError, but not the input's fault
         print(str(exc), file=sys.stderr)
         return 3
-    except (InvalidRank, BoundExceeded, UnavailableBlock, ValueError) as exc:
+    except ValueError as exc:  # bad input, including the refusals of acm and catalog
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

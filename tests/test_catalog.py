@@ -198,6 +198,25 @@ def test_decomposition_rejects_bad_counts():
         Decomposition((SC1,), counts=((SC1, 1),))
 
 
+def test_post_init_hook_sees_the_given_summands(monkeypatch):
+    # bench/spans.py wraps __post_init__ on the class and reads obj.blocks
+    # before calling the original, to count the summands each build sorts
+    post_init, seen = Decomposition.__dict__["__post_init__"], []
+
+    def hook(obj):
+        seen.append(obj.blocks)
+        post_init(obj)
+
+    monkeypatch.setattr(Decomposition, "__post_init__", hook)
+    F31 = BlockId(Family.F31)
+    shuffled = (SE1, F31, SC1, SE1, BlockId(Family.OV))
+    from_blocks = Decomposition(shuffled)
+    from_counts = Decomposition(counts=((SE1, 2), (F31, 0), (SC1, 1), (SE1, 1)))
+    assert seen == [shuffled, (SE1, SE1, SC1, SE1)]
+    assert from_blocks.counts == ((BlockId(Family.OV), 1), (SC1, 1), (SE1, 2), (F31, 1))
+    assert from_counts.counts == ((SC1, 1), (SE1, 3))
+
+
 @settings(max_examples=300)
 @given(
     st.lists(

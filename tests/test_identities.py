@@ -21,7 +21,10 @@ sp = pytest.importorskip("sympy")
 from fano_acm import (  # noqa: E402
     BLOCKS,
     ChernData,
+    chi_twist,
     curve_invariants,
+    dual,
+    euler_char,
     forced_c2,
     forced_c3,
     twist,
@@ -213,3 +216,35 @@ def test_twist_distributes_over_whitney_sums():
     assert twist(whitney_sum(a, b, X), X, t) == whitney_sum(
         twist(a, X, t), twist(b, X, t), X
     )
+
+
+# --- Riemann-Roch: additivity, Serre duality, the defining vanishing ---------------
+
+@pytest.fixture
+def exact_chi(monkeypatch):
+    # euler_char divides by 6 through Fraction, which takes only rationals;
+    # divide the polynomial exactly instead
+    monkeypatch.setattr(
+        "fano_acm.chow.Fraction", lambda n, m: Exact(sp.Rational(1, m) * Exact._of(n))
+    )
+
+
+def test_chi_is_additive_over_whitney_sums(exact_chi):
+    a = ChernData(s_a + 3, c1a, p0, q0)
+    b = ChernData(s_b + 3, c1b, u0, v0)
+    assert euler_char(whitney_sum(a, b, X), X) == euler_char(a, X) + euler_char(b, X)
+
+
+def test_serre_duality_for_chi(exact_chi):
+    # chi(F(t)) = -chi(F*(-2 - t)), since K = O(-2) on V_d; t = 0 is
+    # chi(F) = -chi(F*(-2))
+    c = ChernData(s_a + 3, c1a, p0, q0)
+    assert chi_twist(c, X, t) == -chi_twist(dual(c), X, -2 - t)
+    assert euler_char(c, X) == -chi_twist(dual(c), X, -2)
+
+
+def test_forced_classes_have_chi_of_minus_1_and_minus_2_twists_zero(exact_chi):
+    # the paper's defining condition, which forced_c2 and forced_c3 solve
+    c = _forced(s_a + 3, c1)
+    assert chi_twist(c, X, -1) == 0
+    assert chi_twist(c, X, -2) == 0
