@@ -38,16 +38,24 @@ encoded string never contains a raw newline.  The json and csv modules are
 imported by the first answer in their format, so importing this module,
 or a human answer, loads neither.
 
-run() may be called any number of times in one process.  The parsers are
-built from the _COMMANDS table on the first call and reused; argparse keeps
-no per-parse state on a parser, so every call acts as in a fresh process.
-An argv that starts with a subcommand goes to that subcommand's parser
-alone, with the same namespace, errors and help as the top-level parser.
+run() may be called any number of times in one process, and every call acts
+as in a fresh process.  A plain argv is parsed straight from the _COMMANDS
+table, without argparse: a subcommand, then each of its flags at most once
+and spelled out in full, a switch alone and any other flag followed by its
+value (an int as ASCII digits with an optional "-", within the int/str digit
+limit; a value with choices one of them), every required flag present.
+argparse reads such an argv one way only, and the table gives the same
+namespace; both paths fill a types.SimpleNamespace.  Every other argv (an
+abbreviation, --flag=value, a repeated flag, a bad value, --help, a missing
+flag) goes through argparse, which alone writes help and usage errors.  Its
+parsers are built from the same table once, on first need, and reused;
+argparse keeps no per-parse state on a parser.  An argv that starts with a
+subcommand goes to that subcommand's parser alone, with the same namespace,
+errors and help as the top-level parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import os
@@ -55,6 +63,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from .acm import (
     NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows, enumerate_admissible,
@@ -69,12 +78,6 @@ __all__ = ["run", "main"]
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract here is 1
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
 
 
 def _chern_str(c: ChernData) -> str:
@@ -150,7 +153,7 @@ class _Result(namedtuple("_Result", "json csv human note", defaults=(None,))):
     __slots__ = ()
 
 
-def _emit(result: _Result | None, args: argparse.Namespace) -> int:
+def _emit(result: _Result | None, args: SimpleNamespace) -> int:
     """Write result in the format asked, with one write, and return the
     exit code.  None: the handler has streamed its own output."""
     if result is None:
@@ -177,7 +180,7 @@ def _emit(result: _Result | None, args: argparse.Namespace) -> int:
 _TRIPLE_HEADER = ["d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus"]
 
 
-def _cmd_chi(X: FanoThreefold, args: argparse.Namespace) -> _Result:
+def _cmd_chi(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     c = ChernData(args.rank, args.c1, args.c2, args.c3)
     value = chi_twist(c, X, args.twist)
     return _Result(
@@ -194,7 +197,7 @@ def _cmd_chi(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     )
 
 
-def _cmd_twist(X: FanoThreefold, args: argparse.Namespace) -> _Result:
+def _cmd_twist(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     c = ChernData(args.rank, args.c1, args.c2, args.c3)
     out = twist(c, X, args.t)
     return _Result(
@@ -207,7 +210,7 @@ def _cmd_twist(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     )
 
 
-def _cmd_classify2(X: FanoThreefold, args: argparse.Namespace) -> _Result:
+def _cmd_classify2(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     verdict = classify_rank2(X, args.c1, args.c2)
 
     def csv_rows():
@@ -234,7 +237,7 @@ def _cmd_classify2(X: FanoThreefold, args: argparse.Namespace) -> _Result:
                             "verdict": verdict.to_json()}, csv_rows, human, note)
 
 
-def _cmd_admissible(X: FanoThreefold, args: argparse.Namespace) -> _Result:
+def _cmd_admissible(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     triples = enumerate_admissible(X, args.rank, relaxed=args.relaxed)
     mode = "relaxed" if args.relaxed else "strict"
     return _Result(
@@ -251,7 +254,7 @@ def _cmd_admissible(X: FanoThreefold, args: argparse.Namespace) -> _Result:
     )
 
 
-def _cmd_witness(X: FanoThreefold, args: argparse.Namespace) -> _Result:
+def _cmd_witness(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     dec = witness(X, args.rank, args.c1)  # NotAdmissible -> exit 2 in run()
     report = validate_witness(X, dec, args.rank, args.c1)
     total = report.total
@@ -296,7 +299,7 @@ _CENSUS_ROW = {
 _CENSUS_CHUNK_ROWS = 4096
 
 
-def _cmd_census(X: FanoThreefold, args: argparse.Namespace) -> None:
+def _cmd_census(X: FanoThreefold, args: SimpleNamespace) -> None:
     """Streams the rows in chunks of _CENSUS_CHUNK_ROWS, one write each.
     Every refusal of the row generator comes before its first row, so
     before anything is written."""
@@ -335,7 +338,7 @@ def _cmd_census(X: FanoThreefold, args: argparse.Namespace) -> None:
     write(text + end)
 
 
-def _cmd_verify_table(X: FanoThreefold | None, args: argparse.Namespace) -> _Result:
+def _cmd_verify_table(X: FanoThreefold | None, args: SimpleNamespace) -> _Result:
     def csv_rows():
         rows = table_export_rows(X)
         return TABLE_EXPORT_COLUMNS, [[row[c] for c in TABLE_EXPORT_COLUMNS] for row in rows]
@@ -364,7 +367,7 @@ def _cmd_verify_table(X: FanoThreefold | None, args: argparse.Namespace) -> _Res
     return _Result(lambda: {"rows": table_export_rows(X)}, csv_rows, human)
 
 
-def _cmd_oracle(X: FanoThreefold, args: argparse.Namespace) -> _Result:
+def _cmd_oracle(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     decs = oracle_enumerate(X, args.rank, args.c1, bound=args.bound)
     return _Result(
         lambda: {
@@ -386,6 +389,10 @@ def _cmd_oracle(X: FanoThreefold, args: argparse.Namespace) -> _Result:
 _INT = {"type": int, "required": True}
 _RANK, _C1, _C2, _C3 = (("--rank", _INT), ("--c1", _INT), ("--c2", _INT), ("--c3", _INT))
 _RELAXED = ("--relaxed", {"action": "store_true"})
+_D = ("--d", {"type": int, "choices": (3, 4, 5), "required": True, "default": None,
+              "help": "degree of the ambient Fano threefold V_d"})
+_FORMAT = ("--format", {"choices": ("human", "json", "csv"), "default": "human",
+                        "help": "output format (default: human)"})
 
 # name: (handler, help, flags after --d and --format), in the order of --help
 _COMMANDS = {
@@ -403,40 +410,104 @@ _COMMANDS = {
 }
 
 
+def _flags(name: str) -> tuple:
+    """Every (flag, add_argument options) of a subcommand, shared ones first."""
+    # verify-table without --d covers every d
+    d = ("--d", {**_D[1], "required": False}) if name == "verify-table" else _D
+    return (d, _FORMAT, *_COMMANDS[name][2])
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by name."""
+def _plain_table(name: str) -> tuple[dict, dict, frozenset]:
+    """For a subcommand: flag -> (dest, switch, int, choices), the namespace
+    argparse starts from (func and every default), and the required flags."""
+    flags, defaults, required = {}, {"func": _COMMANDS[name][0]}, set()
+    for flag, options in _flags(name):
+        dest = flag[2:].replace("-", "_")
+        switch = options.get("action") == "store_true"
+        flags[flag] = (dest, switch, options.get("type") is int, options.get("choices"))
+        defaults[dest] = options.get("default", False if switch else None)
+        if options.get("required"):
+            required.add(flag)
+    return flags, defaults, frozenset(required)
+
+
+def _plain_int(text: str) -> int | None:
+    """int(text) for ASCII -?[0-9]+ within the int/str digit limit, else None."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than the limit
+        return None
+
+
+def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain argv (see the module docstring),
+    or None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags, defaults, required = _plain_table(argv[0])
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        dest, switch, is_int, choices = flags[flag]
+        if switch:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is not None and is_int:
+            value = _plain_int(value)
+        if value is None or (choices is not None and value not in choices):
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values) if required <= seen else None
+
+
+@functools.cache
+def _build_parser():
+    """The top-level argparse parser and each subcommand's parser by name.
+    Built on first need: a plain argv needs neither argparse nor a parser."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad flags; the contract here is 1
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _UsageError(message)
+
     parser = _Parser(
         prog="fano-acm",
         description="Exact Chern class / Riemann-Roch calculus and ACM-bundle "
         "invariant classification on V_3, V_4, V_5.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (handler, help_text, flags) in _COMMANDS.items():
+    for name, (handler, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        # verify-table without --d covers every d
-        p.add_argument("--d", type=int, choices=(3, 4, 5), required=name != "verify-table",
-                       default=None, help="degree of the ambient Fano threefold V_d")
-        p.add_argument("--format", choices=("human", "json", "csv"), default="human",
-                       help="output format (default: human)")
-        for flag, options in flags:
+        for flag, options in _flags(name):
             p.add_argument(flag, **options)
         p.set_defaults(func=handler)
     return parser, sub.choices
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        if argv and argv[0] in commands:
-            args = commands[argv[0]].parse_args(argv[1:])
-        else:
-            args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    args = _parse_plain(argv)
+    if args is None:
+        parser, commands = _build_parser()
+        try:
+            if argv and argv[0] in commands:
+                args = commands[argv[0]].parse_args(argv[1:], SimpleNamespace())
+            else:
+                args = parser.parse_args(argv, SimpleNamespace())
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     X = None if args.d is None else FanoThreefold(args.d)
     # The parser refuses ints of over 4300 digits, CPython's process-wide
     # int/str limit; answers can be longer, so lift it for this call only.

@@ -715,6 +715,155 @@ def test_import_does_not_build_the_parser():
     assert "currsize=0" in result.stdout
 
 
+# --- the plain-argv parser ---------------------------------------------------------------
+
+
+def _typed(namespace):
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+
+
+def _assert_plain_parse_agrees(command, rest):
+    """The plain parser gives None or argparse's namespace; its outcome."""
+    plain = cli._parse_plain([command, *rest])
+    if plain is not None:
+        _, commands = _build_parser()
+        assert _typed(plain) == _typed(commands[command].parse_args(rest))
+    return plain
+
+
+_PLAIN_VALUES = {
+    "--d": st.sampled_from(("3", "4", "5", "03")),
+    "--format": st.sampled_from(_COMMON["--format"]),
+    **dict.fromkeys(
+        ("--rank", "--c1", "--c2", "--c3", "--twist", "--t", "--max-rank", "--bound"),
+        st.integers(-(10**30), 10**30).map(str)
+        | st.sampled_from(("0", "-0", "007", "-010", "9" * 4300, "-" + "9" * 4300)),
+    ),
+}
+
+
+@st.composite
+def _plain_argvs(draw):
+    """Mostly plain argvs: a subcommand and its flags in any order, each
+    spelled out once, with a plain int or a valid choice; an optional flag
+    may be left out.  One in five drops, repeats or spoils one flag."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    flags = draw(st.permutations(list(_OPTIONS[command])))
+    spoil = draw(st.sampled_from((None,) * 12 + ("drop", "repeat", "bad")))
+    target = draw(st.sampled_from(flags)) if flags else None
+    tokens = []
+    for flag in flags:
+        if flag == target and spoil == "drop":
+            continue
+        if flag in ("--format", "--twist", "--bound", "--relaxed") and draw(st.booleans()):
+            continue
+        if command == "verify-table" and flag == "--d" and draw(st.booleans()):
+            continue
+        for _ in range(2 if flag == target and spoil == "repeat" else 1):
+            tokens.append(flag)
+            if _OPTIONS[command][flag] is not None:
+                bad = flag == target and spoil == "bad"
+                tokens.append(draw(st.sampled_from(_BAD) if bad else _PLAIN_VALUES[flag]))
+    return command, tokens
+
+
+@settings(max_examples=600, deadline=None)
+@given(_plain_argvs() | _argvs())
+def test_plain_parser_gives_none_or_the_argparse_namespace(argv):
+    _assert_plain_parse_agrees(*argv)
+
+
+def test_plain_argvs_mostly_take_the_plain_path():
+    fast = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_plain_argvs())
+    def draw_one(argv):
+        fast.append(_assert_plain_parse_agrees(*argv) is not None)
+
+    draw_one()
+    assert len(fast) >= 100 and sum(fast) >= len(fast) / 2, (sum(fast), len(fast))
+
+
+_CLASSIFY = ["classify2", "--d", "3", "--c1"]
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (_CLASSIFY + ["5_0", "--c2", "1"], False),
+        (_CLASSIFY + [" 3", "--c2", "1"], False),
+        (_CLASSIFY + ["+3", "--c2", "1"], False),
+        (_CLASSIFY + ["-5_0", "--c2", "1"], False),
+        (_CLASSIFY + ["\u0663", "--c2", "1"], False),  # ARABIC-INDIC DIGIT THREE
+        (_CLASSIFY + ["9" * 4301, "--c2", "1"], False),
+        (_CLASSIFY + ["-" + "9" * 4300, "--c2", "1"], True),
+        (_CLASSIFY + ["-0", "--c2", "1"], True),
+        (_CLASSIFY + ["007", "--c2", "1"], True),
+        (_CLASSIFY + ["0", "--c2", "1", "--c1", "2"], False),
+        (_CLASSIFY + ["0", "--c2", "1", "--format=csv"], False),
+        (_CLASSIFY + ["0", "--c2", "1", "--format", "xml"], False),
+        (_CLASSIFY + ["0", "--c2"], False),
+        (_CLASSIFY + ["0", "--c2", "1", "-h"], False),
+        (_CLASSIFY + ["0", "--", "--c2", "1"], False),
+        (["classify2", "--d", "03", "--c1", "0", "--c2", "1"], True),
+        (["classify2", "--d", "6", "--c1", "0", "--c2", "1"], False),
+        (["admissible", "--d", "3", "--rank", "8", "--rel"], False),
+        (["admissible", "--d", "3", "--rank", "8"], True),
+        (["admissible", "--relaxed", "--d", "3", "--rank", "8"], True),
+        (["verify-table"], True),
+        (["verify-table", "--format", "json", "--d", "5"], True),
+        (["chi", "--d", "3"], False),
+        (["chi", "--d", "3", "--rank", "2", "--c1", "0", "--c2", "1", "--c3", "0"], True),
+        (["oracle", "--d", "5", "--rank", "7", "--c1", "2"], True),
+        (["census", "--d", "4", "--max-rank", "20", "--format", "csv"], True),
+    ],
+)
+def test_plain_parser_explicit_cases(argv, plain):
+    result = _assert_plain_parse_agrees(argv[0], argv[1:])
+    assert (result is not None) == plain
+
+
+def test_plain_parser_refuses_empty_and_unknown_argvs():
+    for argv in ([], ["--help"], ["-h"], ["no-such-command"], ["--d", "3", "chi"]):
+        assert cli._parse_plain(argv) is None
+
+
+def test_plain_call_neither_imports_argparse_nor_builds_a_parser():
+    # -S keeps site start-up, which may import argparse itself, out of it.
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    script = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from fano_acm import cli
+plain = [
+    ["chi", "--d", "3", "--rank", "2", "--c1", "0", "--c2", "1", "--c3", "0"],
+    ["twist", "--d", "5", "--rank", "2", "--c1", "0", "--c2", "2", "--c3", "0", "--t", "1"],
+    ["classify2", "--d", "3", "--c1", "0", "--c2", "1", "--format", "json"],
+    ["admissible", "--d", "3", "--rank", "8", "--relaxed", "--format", "csv"],
+    ["witness", "--d", "3", "--rank", "8", "--c1", "3"],
+    ["census", "--d", "4", "--max-rank", "6"],
+    ["verify-table", "--format", "csv"],
+    ["oracle", "--d", "5", "--rank", "7", "--c1", "2"],
+]
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    codes = [cli.run(argv) for argv in plain]
+print(codes, "argparse" in sys.modules, cli._build_parser.cache_info().currsize)
+err = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.run(["chi", "--d", "3"])
+print(code, repr(err.getvalue()), cli._build_parser.cache_info().misses)
+"""
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[0, 0, 0, 0, 0, 0, 0, 0] False 0",
+        "1 'error: the following arguments are required: --rank, --c1, --c2, --c3\\n' 1",
+    ]
+
+
 def test_verify_table_csv_matches_golden_file(capsys):
     golden = (pathlib.Path(__file__).parent / "golden" / "table_symbolic.csv").read_text(
         encoding="utf-8"
