@@ -17,11 +17,14 @@ peeling off S_E(1) (when c1 = r), S_C(1) (when c1 >= (r-2)/d + 1) or the
 rank-d block with c1 = 1 (otherwise) down to a census row.  The peeling
 always runs as some S_C(1) steps followed by S_E(1) steps or rank-d steps,
 so the three step counts are computed in closed form, and the returned
-Decomposition stores only its block counts: building and validating a
-witness costs the same handful of integer operations at any rank.  Its
-``blocks`` tuple, render() and to_json() list every summand, and the
-command line prints them, so witness() refuses ranks above
-WITNESS_MAX_RANK with BoundExceeded (exit 1 on the command line).
+Decomposition stores only its block counts.  witness() merges the three
+runs into the census row's counts in canonical order, so the Decomposition
+keeps them without a sort, and its Whitney total is one pass over them:
+building and validating a witness costs the same handful of integer
+operations at any rank.  Its ``blocks`` tuple, render() and to_json() list
+every summand, and the command line prints them, so witness() refuses
+ranks above WITNESS_MAX_RANK with BoundExceeded (exit 1 on the command
+line).
 validate_witness() records the facts its five checks read (the Whitney
 total, the forced (c2, c3), the unavailable families and the number of
 trivial summands) and decides the five verdicts from them.  Its
@@ -60,6 +63,11 @@ from .catalog import (
     BlockId,
     Decomposition,
     Family,
+    _F31,
+    _F41,
+    _F51,
+    _SC1,
+    _SE1,
     _block_rank_c1,
     block_available,
     table1_rows,
@@ -227,14 +235,7 @@ def enumerate_admissible(
 
 
 # Rank-d block with c1 = 1, used by the third peeling case.
-_RANK_D_BLOCK = {
-    3: BlockId(Family.F31),
-    4: BlockId(Family.F41),
-    5: BlockId(Family.F51),
-}
-
-_SC1 = BlockId(Family.SC, 1)
-_SE1 = BlockId(Family.SE, 1)
+_RANK_D_BLOCK = {3: _F31, 4: _F41, 5: _F51}
 
 
 # Census rows by (d, r, c1); for r <= 7 they cover every strictly admissible
@@ -294,9 +295,20 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
     seed = _SEEDS[(X.d, rank - 2 * (sc + se) - X.d * rd, c1 - sc - 2 * se - rd)]
     if not (sc or se or rd):
         return seed
-    return Decomposition(
-        counts=seed.counts + ((_SC1, sc), (_SE1, se), (_RANK_D_BLOCK[X.d], rd))
-    )
+    # merge the peeled runs, in canonical order, into the seed's canonical
+    # counts, so that Decomposition stores the result without sorting it
+    counts, i = list(seed.counts), 0
+    for block, k in ((_SC1, sc), (_SE1, se), (_RANK_D_BLOCK[X.d], rd)):
+        if not k:
+            continue
+        key = block._key
+        while i < len(counts) and counts[i][0]._key < key:
+            i += 1
+        if i < len(counts) and counts[i][0]._key == key:
+            counts[i] = (block, counts[i][1] + k)
+        else:
+            counts.insert(i, (block, k))
+    return Decomposition(counts=tuple(counts))
 
 
 class Check(namedtuple("Check", "name passed detail")):

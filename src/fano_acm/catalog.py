@@ -24,7 +24,9 @@ to a plain tuple of their fields.  BlockId, Decomposition and chow.ChernData
 are frozen records with ``__slots__`` (chow._Record), each equal only to its
 own class; a BlockId keeps its (family order, twist) sort key in a slot,
 and a Decomposition stores only its block counts, expanding ``blocks`` from
-them on each read.
+them on each read.  Counts given in canonical order are stored as given,
+without a sort, and the Chern data of a Decomposition is one pass over its
+counts into the closed form of _whitney_total: no pairwise Whitney sums.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from .chow import (
     forced_c2,
     forced_c3,
     twist,
-    whitney_power,
-    whitney_sum,
 )
 
 __all__ = [
@@ -261,13 +261,35 @@ def _block_rank_c1(block: BlockId) -> tuple[int, int]:
     return spec.rank, spec.base_c1 + spec.rank * block.twist
 
 
+def _whitney_total(
+    d: int, rank: int, s1: int, s2: int, s3: int, sum_c2: int, sum_c3: int, sum_c1c2: int
+) -> ChernData:
+    """Chern data of a direct sum from sums over its summands, each counted
+    with multiplicity: the total rank, the power sums s1, s2, s3 of the
+    summands' c1, and the sums of their c2, c3 and c1 c2.
+
+    With c(E) = prod (1 + a_i H + b_i L + c_i P), H^2 = dL and H.L = P:
+
+        c2 = sum b + d e2(a),    c3 = sum c + sum_{i != j} a_i b_j + d e3(a),
+
+    where e2 = (s1^2 - s2)/2 and e3 = (s1^3 - 3 s1 s2 + 2 s3)/6 are the
+    elementary symmetric functions of the a_i (Newton's identities), and
+    sum_{i != j} a_i b_j = s1 sum b - sum a b.  Both divisions are exact.
+    tests/test_identities.py proves this equal to the fold of whitney_sum.
+    """
+    e2 = (s1 * s1 - s2) // 2
+    e3 = (s1 * s1 * s1 - 3 * s1 * s2 + 2 * s3) // 6
+    return ChernData(rank, s1, sum_c2 + d * e2, sum_c3 + s1 * sum_c2 - sum_c1c2 + d * e3)
+
+
 class Decomposition(_Record):
     """A multiset of blocks representing a direct sum.
 
     Only ``counts`` is stored: (block, multiplicity) pairs with distinct
     blocks in canonical (family, twist) order and positive multiplicities,
     so equal multisets compare and hash equal.  Give either ``blocks`` in
-    any order or ``counts`` (any order, repeats merged, zeros dropped).
+    any order or ``counts`` (any order, repeats merged, zeros dropped);
+    counts that are already canonical, a tuple of tuples, are kept as given.
     The ``blocks`` property lists every summand in canonical order,
     expanded from ``counts`` on each read, as are render(), to_json() and
     sort_key(); rank, c1 and chern() work from ``counts`` alone, so a
@@ -290,6 +312,17 @@ class Decomposition(_Record):
     def __post_init__(self) -> None:
         # Canonicalizes the pairs __init__ stored; a method of its own so that
         # a tracer can wrap it and read the given summands from ``blocks``.
+        # Pairs already canonical (tuples with keys strictly increasing and
+        # counts positive), as witness() builds them, are stored as they are.
+        last = (-1,)  # below every (family order, twist) key
+        for pair in self.counts:
+            b, k = pair
+            if k <= 0 or b._key <= last or pair.__class__ is not tuple:
+                break
+            last = b._key
+        else:
+            _set_counts(self, tuple(self.counts))
+            return
         counts: list[tuple[BlockId, int]] = []
         last = None
         keyed = sorted([(b._key, b, k) for b, k in self.counts], key=itemgetter(0))
@@ -331,16 +364,25 @@ class Decomposition(_Record):
         return sum(_block_rank_c1(b)[1] * k for b, k in self.counts)
 
     def chern(self, X: FanoThreefold) -> ChernData:
-        """Whitney sum of the blocks, k copies of a block at a time
-        (computed whether or not every block is available on X;
-        availability is validated separately)."""
-        total = None
-        for b, k in self.counts:
-            copies = _block_chern_unchecked(b, X)
-            if k != 1:
-                copies = whitney_power(copies, X, k)
-            total = copies if total is None else whitney_sum(total, copies, X)
-        return ChernData.trivial(0) if total is None else total
+        """Whitney sum of the blocks, in one pass over ``counts`` (computed
+        whether or not every block is available on X; availability is
+        validated separately).  See _whitney_total for the closed form."""
+        counts = self.counts
+        if len(counts) == 1 and counts[0][1] == 1:
+            # one copy of one block, as in five census rows: its cached data
+            return _block_chern_unchecked(counts[0][0], X)
+        rank = s1 = s2 = s3 = sum_c2 = sum_c3 = sum_c1c2 = 0
+        for b, k in counts:
+            c = _block_chern_unchecked(b, X)
+            a, k_a, k_c2 = c.c1, k * c.c1, k * c.c2
+            rank += k * c.rank
+            s1 += k_a
+            s2 += k_a * a
+            s3 += k_a * a * a
+            sum_c2 += k_c2
+            sum_c3 += k * c.c3
+            sum_c1c2 += k_c2 * a
+        return _whitney_total(X.d, rank, s1, s2, s3, sum_c2, sum_c3, sum_c1c2)
 
     def render(self) -> str:
         return " ⊕ ".join(self._expanded(BlockId.render))

@@ -282,6 +282,40 @@ def test_witness_at_rank_one_million_in_constant_memory(X):
         assert peak < 64 * 2**10, (X.d, c1, peak)
 
 
+def is_canonical(counts) -> bool:
+    """Tuple pairs with strictly increasing (family, twist) keys and positive
+    counts: what Decomposition stores without sorting."""
+    keys = [pair[0].sort_key() for pair in counts]
+    return (
+        all(type(pair) is tuple for pair in counts)
+        and all(k > 0 for _, k in counts)
+        and all(a < b for a, b in zip(keys, keys[1:]))
+    )
+
+
+def test_witness_hands_decomposition_canonical_counts(monkeypatch):
+    # witness() merges the peeled runs into its seed's counts itself, so
+    # Decomposition.__post_init__ receives canonical counts and keeps them
+    post_init, given = Decomposition.__dict__["__post_init__"], []
+
+    def hook(obj):
+        given.append(obj.counts)
+        post_init(obj)
+
+    monkeypatch.setattr(Decomposition, "__post_init__", hook)
+    cases = [(X, r, c1) for X in VARIETIES for r in range(3, 151)
+             for c1 in strict_c1_range(X, r)]
+    cases += [(X, 10**6, c1) for X in VARIETIES
+              for c1 in large_rank_c1_values(X, 10**6)]
+    for X, r, c1 in cases:
+        del given[:]
+        dec = witness(X, r, c1)
+        assert is_canonical(dec.counts), (X.d, r, c1)
+        if r > 7:  # below, the census row itself is the witness
+            assert len(given) == 1 and is_canonical(given[0]), (X.d, r, c1)
+            assert dec.counts is given[0]
+
+
 @pytest.mark.parametrize("X", VARIETIES, ids=str)
 def test_witness_above_rank_bound_raises_bound_exceeded(X):
     for r in (WITNESS_MAX_RANK + 1, 10**18, 10**50):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -286,6 +287,106 @@ def test_decomposition_chern_matches_blockwise_whitney_sum():
                 total = whitney_sum(total, block, X)
             assert dec.chern(X) == total
             assert (dec.rank, dec.c1) == (total.rank, total.c1)
+
+
+def fold_of_whitney_sum(dec: Decomposition, X: FanoThreefold) -> ChernData:
+    # one summand at a time, each block's data recomputed from its base
+    total = ChernData.trivial(0)
+    for b in dec.blocks:
+        total = whitney_sum(total, twist(BLOCKS[b.family].base_chern(X), X, b.twist), X)
+    return total
+
+
+any_block = st.builds(BlockId, st.sampled_from(list(Family)), st.integers(-5, 5))
+
+
+def test_decomposition_chern_of_one_block_kind_is_the_fold():
+    # every family (O_V, S_L and the families unavailable on X included)
+    # at every twist in [-5, 5], on every V_d, in 0 to 3 copies
+    for X in VARIETIES:
+        assert Decomposition(()).chern(X) == ChernData.trivial(0)
+        for family in Family:
+            for t in range(-5, 6):
+                for k in range(4):
+                    dec = Decomposition(counts=((BlockId(family, t), k),))
+                    assert dec.chern(X) == fold_of_whitney_sum(dec, X), (X, family, t, k)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(any_block, st.integers(0, 4)), max_size=6),
+    st.sampled_from(VARIETIES),
+)
+def test_decomposition_chern_is_the_fold_of_whitney_sum(pairs, X):
+    dec = Decomposition(counts=tuple(pairs))
+    assert dec.chern(X) == fold_of_whitney_sum(dec, X)
+
+
+def test_decomposition_chern_at_a_count_of_10_to_the_50():
+    k = 10**50
+    for X in VARIETIES:
+        for family in Family:
+            block = BlockId(family, -3)
+            c = twist(BLOCKS[family].base_chern(X), X, -3)
+            assert Decomposition(counts=((block, k),)).chern(X) == whitney_power(c, X, k)
+            mixed = Decomposition(counts=((block, k), (SC1, 2), (SE1, k + 1)))
+            expected = whitney_sum(
+                whitney_sum(whitney_power(c, X, k), whitney_power(block_chern(SC1, X), X, 2), X),
+                whitney_power(block_chern(SE1, X), X, k + 1),
+                X,
+            )
+            assert mixed.chern(X) == expected, (X, family)
+
+
+def test_canonical_counts_are_stored_as_given():
+    counts = ((SC1, 2), (SE1, 1), (BlockId(Family.F31), 10**50))
+    assert Decomposition(counts=counts).counts is counts
+    # a list of pairs, or pairs that are not tuples, are still made tuples
+    assert Decomposition(counts=list(counts)).counts == counts
+    assert Decomposition(counts=[[SC1, 2], [SE1, 1]]).counts == ((SC1, 2), (SE1, 1))
+
+
+def test_canonical_prefix_then_a_repeat_zero_or_negative_count():
+    F31 = BlockId(Family.F31)
+    prefix = ((SC1, 2), (SE1, 1), (F31, 3))
+    assert Decomposition(counts=prefix + ((SE1, 4),)).counts == (
+        (SC1, 2), (SE1, 5), (F31, 3))
+    assert Decomposition(counts=prefix + ((F31, 1),)).counts == (
+        (SC1, 2), (SE1, 1), (F31, 4))
+    assert Decomposition(counts=prefix + ((BlockId(Family.F33), 0),)).counts == prefix
+    assert Decomposition(counts=((SC1, 0),) + prefix).counts == prefix
+    assert Decomposition(counts=prefix[:1] + ((SE1, 0),) + prefix[2:]).counts == (
+        (SC1, 2), (F31, 3))
+    with pytest.raises(ValueError, match=re.escape("negative count -1 of F_{3,3}")):
+        Decomposition(counts=prefix + ((BlockId(Family.F33), -1),))
+    with pytest.raises(ValueError, match=re.escape("negative count -2 of S_C(1)")):
+        Decomposition(counts=((SC1, -2),) + prefix[1:])
+
+
+@settings(max_examples=300)
+@given(
+    st.sets(any_block, max_size=5),
+    st.lists(st.integers(1, 5), min_size=5, max_size=5),
+    any_block,
+    st.integers(-2, 3),
+)
+def test_canonical_prefix_then_any_pair_is_merged_as_before(distinct, ks, block, k):
+    prefix = tuple(zip(sorted(distinct, key=BlockId.sort_key), ks))
+    counts = prefix + ((block, k),)
+    if k < 0:
+        message = f"negative count {k} of {block.render()}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Decomposition(counts=counts)
+        return
+    totals = Counter()
+    for b, n in counts:
+        totals[b] += n
+    expected = tuple(
+        (b, totals[b]) for b in sorted(totals, key=BlockId.sort_key) if totals[b]
+    )
+    dec = Decomposition(counts=counts)
+    assert dec.counts == expected
+    assert all(type(pair) is tuple for pair in dec.counts)
 
 
 def test_decomposition_json():

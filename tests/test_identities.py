@@ -31,7 +31,7 @@ from fano_acm import (  # noqa: E402
     whitney_power,
     whitney_sum,
 )
-from fano_acm.catalog import _linear_in_d  # noqa: E402
+from fano_acm.catalog import _linear_in_d, _whitney_total  # noqa: E402
 
 
 def _divides(m: int, e) -> bool:
@@ -199,6 +199,39 @@ def test_whitney_power_is_the_k_fold_whitney_sum():
     c = ChernData(s_a + 3, c1a, p0, q0)
     assert whitney_power(c, X, 0) == ChernData.trivial(0)
     assert whitney_power(c, X, k + 1) == whitney_sum(whitney_power(c, X, k), c, X)
+
+
+# --- the one-pass Whitney total of a Decomposition ----------------------------------
+
+def test_whitney_total_of_no_summands_is_the_zero_sheaf():
+    assert _whitney_total(d, 0, 0, 0, 0, 0, 0, 0) == ChernData.trivial(0)
+
+
+def test_whitney_total_adds_a_summand_as_whitney_sum_does():
+    # Induction on the number of summands, the empty sum being the case
+    # above.  The power sums of any multiset of integers a_i are
+    #   s1,  s2 = s1^2 - 2 e2,  s3 = s1^3 - 3 s1 e2 + 3 e3
+    # for integers e2, e3 (Newton's identities); written so, the exact
+    # divisions of the closed form are visible to Exact's // check.
+    s1, e2, e3, sum_c2, sum_c3, sum_c1c2, a, b, c = _symbols(
+        "s1 e2 e3 sum_c2 sum_c3 sum_c1c2 a b c"
+    )
+    # ranks of at least 3 so that ChernData's checks decide; both sides are
+    # polynomials in the ranks, so the identity holds at every rank
+    rank, summand_rank = s_a + 3, s_b + 3
+
+    def power_sums(s1, e2, e3):
+        return s1, s1 * s1 - 2 * e2, s1**3 - 3 * s1 * e2 + 3 * e3
+
+    p1, p2, p3 = power_sums(s1, e2, e3)
+    # one more summand a keeps that form, with e2 + a s1 and e3 + a e2
+    assert (p1 + a, p2 + a * a, p3 + a**3) == power_sums(s1 + a, e2 + a * s1, e3 + a * e2)
+    before = _whitney_total(d, rank, p1, p2, p3, sum_c2, sum_c3, sum_c1c2)
+    after = _whitney_total(
+        d, rank + summand_rank, p1 + a, p2 + a * a, p3 + a**3,
+        sum_c2 + b, sum_c3 + c, sum_c1c2 + a * b,
+    )
+    assert after == whitney_sum(before, ChernData(summand_rank, a, b, c), X)
 
 
 # --- twists: additive in the twist, distributive over Whitney sums ------------------
