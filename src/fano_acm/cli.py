@@ -19,24 +19,25 @@ early (`| head`) ends the process quietly with exit 1.
 
 There is one output path.  A handler returns a _Result: one zero-argument
 maker per format (the json payload, the csv header and rows, the human
-lines) and an optional stderr note, which means exit 2.  Only the emitter,
-_emit, reads --format; it calls that format's maker and writes the rendered
-text in one call.  The census is the exception: it streams, filling one "%"
-row template per format and existence value with the plain rows of the
-admissible-triple generator (the json template is what json.dumps(indent=2)
-makes of a row's dict; csv and human need no quoting), and writes chunks of
-a few thousand rows, one call each, so memory stays flat at any rank.
+lines), an optional stderr note, which means exit 2, and for the two list
+outputs, admissible and census, rows: a function of the format giving one
+"%" row template per triple filled with a plain admissible-triple row (the
+json template is what json.dumps(indent=2) makes of the row's dict).  Only
+the emitter, _emit, reads --format or writes stdout.  It calls that format's
+maker and writes the text in one call, or with rows in chunks of a few
+thousand rows, one call each, after the csv or human text or in the json
+payload's last value, an empty list; so the census's memory stays flat.
 
 json output is json.dumps(payload, indent=2) byte for byte, but it is made
 by the stdlib's C encoder, which json.dumps leaves for a pure-Python one as
 soon as an indent is given.  A container holding no container is encoded
 in one C call whose item separator carries the newline and the indent; a
-list of such dicts (admissible triples, table rows) is encoded whole in one
-call and its joins re-indented; any other container encodes its scalars in
-one call and splices its nested containers in.  This is exact because an
-encoded string never contains a raw newline.  The json and csv modules are
-imported by the first answer in their format, so importing this module,
-or a human answer, loads neither.
+list of such dicts (table rows, witness blocks) is encoded whole in one call
+and its joins re-indented; any other container encodes its scalars in one
+call and splices in its nested containers, each encoded at its own depth.
+This is exact because an encoded string never contains a raw newline.  The
+json and csv modules are imported by the first answer in their format, so
+importing this module, or a human answer, loads neither.
 
 run() may be called any number of times in one process, and every call acts
 as in a fresh process.  A plain argv is parsed straight from the _COMMANDS
@@ -104,15 +105,18 @@ def _holds_container(values) -> bool:
     return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
 
 
-def _json_text(obj: object) -> str:
-    """json.dumps(obj, indent=2), through the C encoder."""
-    flat = _encoder(1)
+def _json_text(obj: object, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2), through the C encoder, as it reads nested
+    depth levels deep: every line after the first is indented depth more."""
+    flat = _encoder(depth + 1)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return flat.encode(obj)
+    outer = "\n" + depth * _INDENT
+    inner = outer + _INDENT
     is_dict = isinstance(obj, dict)
     if not _holds_container(obj.values() if is_dict else obj):
         text = flat.encode(obj)
-        return f"{text[0]}\n{_INDENT}{text[1:-1]}\n{text[-1]}"
+        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
     if (
         not is_dict
         and all(issubclass(t, dict) for t in set(map(type, obj)))
@@ -121,11 +125,11 @@ def _json_text(obj: object) -> str:
     ):
         # Non-empty flat dicts, '[{..},\n    {..}]': only a dict join has a
         # '}' before the separator, since a flat dict's values are scalars.
-        sep = ",\n" + 2 * _INDENT
-        text = _encoder(2).encode(obj)[2:-2].replace(
-            "}" + sep + "{", f"\n{_INDENT}}},\n{_INDENT}{{\n{2 * _INDENT}"
+        innermost = inner + _INDENT
+        text = _encoder(depth + 2).encode(obj)[2:-2].replace(
+            "}," + innermost + "{", f"{inner}}},{inner}{{{innermost}"
         )
-        return f"[\n{_INDENT}{{\n{2 * _INDENT}{text}\n{_INDENT}}}\n]"
+        return f"[{inner}{{{innermost}{text}{inner}}}{outer}]"
     # Nested containers go in as null, so one C call encodes the rest; as
     # no encoded string holds a raw newline, the separator splits the items.
     if is_dict:
@@ -136,31 +140,35 @@ def _json_text(obj: object) -> str:
     else:
         values = obj
         text = flat.encode([None if isinstance(v, _CONTAINERS) else v for v in obj])
-    sep = ",\n" + _INDENT
+    sep = "," + inner
     items = text[1:-1].split(sep)
     for i, value in enumerate(values):
         if isinstance(value, _CONTAINERS):  # items[i] ends in 'null'
-            items[i] = items[i][:-4] + _json_text(value).replace("\n", "\n" + _INDENT)
-    return f"{text[0]}\n{_INDENT}{sep.join(items)}\n{text[-1]}"
+            items[i] = items[i][:-4] + _json_text(value, depth + 1)
+    return f"{text[0]}{inner}{sep.join(items)}{outer}{text[-1]}"
 
 
-class _Result(namedtuple("_Result", "json csv human note", defaults=(None,))):
+class _Result(namedtuple("_Result", "json csv human note rows", defaults=(None, None))):
     """A handler's answer, with one maker per output format: json() gives
     the payload, csv() the header and rows, human() at least one line.  A
     maker does only its own format's work, so a call pays for one rendering.
-    A note is a negative answer, for stderr, and means exit 2."""
+    A note is a negative answer, for stderr, and means exit 2.  rows(format),
+    if given, yields rendered rows (see the module docstring)."""
 
     __slots__ = ()
 
 
-def _emit(result: _Result | None, args: SimpleNamespace) -> int:
-    """Write result in the format asked, with one write, and return the
-    exit code.  None: the handler has streamed its own output."""
-    if result is None:
-        return 0
-    if args.format == "json":
+_CHUNK_ROWS = 4096
+
+
+def _emit(result: _Result, args: SimpleNamespace) -> int:
+    """Write result in the format asked, in one write or one per chunk of
+    rows, and return the exit code.  A row iterator refuses before its first
+    row, so before anything is written."""
+    fmt = args.format
+    if fmt == "json":
         text = _json_text(result.json()) + "\n"
-    elif args.format == "csv":
+    elif fmt == "csv":
         import csv
         header, rows = result.csv()
         buf = io.StringIO()
@@ -170,7 +178,21 @@ def _emit(result: _Result | None, args: SimpleNamespace) -> int:
         text = buf.getvalue()
     else:
         text = "\n".join(result.human()) + "\n"
-    sys.stdout.write(text)
+    write = sys.stdout.write
+    if result.rows is not None:
+        rendered = result.rows(fmt)
+        if fmt == "json":  # the text ends '[]\n}\n'; the rows go in the brackets
+            head, sep, tail = text[:-4] + "\n", ",\n", "\n  ]\n}\n"
+        else:
+            head, sep, tail = text, "", ""
+        # a rendered row is never empty, so an empty chunk means no rows left
+        if chunk := sep.join(islice(rendered, _CHUNK_ROWS)):
+            text = head + chunk
+            while chunk := sep.join(islice(rendered, _CHUNK_ROWS)):
+                write(text)
+                text = sep + chunk
+            text += tail
+    write(text)
     if result.note is None:
         return 0
     print(result.note, file=sys.stderr)
@@ -178,6 +200,31 @@ def _emit(result: _Result | None, args: SimpleNamespace) -> int:
 
 
 _TRIPLE_HEADER = ["d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus"]
+_EXISTENCE = (("False", "unknown"), ("True", "witnessed"))
+
+# Row templates per format for a (d, rank, c1, c2, c3, curve_degree,
+# curve_genus) row; "%.0s" drops a value, and csv and human need no quoting.
+# A census row adds its strict and existence values: (not strict, strict).
+_TRIPLE_JSON = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _TRIPLE_HEADER)
+_TRIPLE_CSV = ",".join(["%s"] * len(_TRIPLE_HEADER))
+_TRIPLE_ROW = {
+    "json": _TRIPLE_JSON + "\n    }",
+    "csv": _TRIPLE_CSV + "\n",
+    "human": "%.0s%.0s  c1=%s: c2=%s, c3=%s, curve degree %s, genus %s\n",
+}
+_CENSUS_HEADER = _TRIPLE_HEADER + ["strict", "existence"]
+_CENSUS_ROW = {
+    "json": tuple(
+        f'{_TRIPLE_JSON},\n      "strict": {strict.lower()},\n'
+        f'      "existence": "{existence}"\n    }}'
+        for strict, existence in _EXISTENCE
+    ),
+    "csv": tuple(f"{_TRIPLE_CSV},{strict},{existence}\n" for strict, existence in _EXISTENCE),
+    "human": tuple(
+        f"%.0s  r=%s c1=%s: c2=%s, c3=%s, degree %s, genus %s [{existence}]\n"
+        for _, existence in _EXISTENCE
+    ),
+}
 
 
 def _cmd_chi(X: FanoThreefold, args: SimpleNamespace) -> _Result:
@@ -241,16 +288,10 @@ def _cmd_admissible(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     triples = enumerate_admissible(X, args.rank, relaxed=args.relaxed)
     mode = "relaxed" if args.relaxed else "strict"
     return _Result(
-        lambda: {
-            "d": X.d, "rank": args.rank, "relaxed": args.relaxed,
-            "triples": [t.to_json() for t in triples],
-        },
-        lambda: (_TRIPLE_HEADER, triples),  # a triple is its csv row
-        lambda: [f"{X}: rank {args.rank}, {mode} admissible c1 values: {len(triples)}"] + [
-            f"  c1={t.c1}: c2={t.c2}, c3={t.c3}, "
-            f"curve degree {t.curve_degree}, genus {t.curve_genus}"
-            for t in triples
-        ],
+        lambda: {"d": X.d, "rank": args.rank, "relaxed": args.relaxed, "triples": []},
+        lambda: (_TRIPLE_HEADER, ()),
+        lambda: [f"{X}: rank {args.rank}, {mode} admissible c1 values: {len(triples)}"],
+        rows=lambda fmt: map(_TRIPLE_ROW[fmt].__mod__, triples),
     )
 
 
@@ -276,66 +317,21 @@ def _cmd_witness(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     )
 
 
-_CENSUS_HEADER = _TRIPLE_HEADER + ["strict", "existence"]
-_EXISTENCE = (("False", "unknown"), ("True", "witnessed"))
-
-# Census row templates per format, (not strict, strict), each filled by
-# "%" with one (d, rank, c1, c2, c3, curve_degree, curve_genus) row of the
-# admissible-triple generator; "%.0s" drops d.  The json one is what
-# json.dumps(indent=2) makes of the row's dict inside the "triples" list.
-_CENSUS_ROW = {
-    "json": tuple(
-        "    {\n"
-        + "".join(f'      "{key}": %s,\n' for key in _TRIPLE_HEADER)
-        + f'      "strict": {strict.lower()},\n      "existence": "{existence}"\n    }}'
-        for strict, existence in _EXISTENCE
-    ),
-    "csv": tuple(f"{'%s,' * 7}{strict},{existence}\n" for strict, existence in _EXISTENCE),
-    "human": tuple(
-        f"%.0s  r=%s c1=%s: c2=%s, c3=%s, degree %s, genus %s [{existence}]\n"
-        for _, existence in _EXISTENCE
-    ),
-}
-_CENSUS_CHUNK_ROWS = 4096
-
-
-def _cmd_census(X: FanoThreefold, args: SimpleNamespace) -> None:
-    """Streams the rows in chunks of _CENSUS_CHUNK_ROWS, one write each.
-    Every refusal of the row generator comes before its first row, so
-    before anything is written."""
+def _cmd_census(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     d = X.d
     rows = _admissible_rows(X, range(3, args.max_rank + 1), args.relaxed)
-    templates = _CENSUS_ROW[args.format]
-    if args.format == "json":
-        # the payload without triples ends '"triples": []\n}\n'
-        empty = _json_text(
-            {"d": d, "max_rank": args.max_rank, "relaxed": args.relaxed, "triples": []}
-        ) + "\n"
-        head, sep, end = empty[:-4] + "\n", ",\n", "\n  ]\n}\n"
-    else:
-        if args.format == "csv":
-            head = ",".join(_CENSUS_HEADER) + "\n"
-        else:
-            head = f"{X}: admissible triples for 3 <= rank <= {args.max_rank}\n"
-        empty, sep, end = head, "", ""
 
-    def chunk() -> str | None:
-        rendered = [
-            templates[d * row[2] >= row[1]] % row  # strict: admissible(), as c1 <= r
-            for row in islice(rows, _CENSUS_CHUNK_ROWS)
-        ]
-        return sep.join(rendered) if rendered else None
+    def rendered(fmt: str):
+        templates = _CENSUS_ROW[fmt]
+        # strict: admissible(), as c1 <= r
+        return (templates[d * row[2] >= row[1]] % row for row in rows)
 
-    write = sys.stdout.write
-    text = chunk()
-    if text is None:
-        write(empty)
-        return
-    text = head + text
-    while (more := chunk()) is not None:
-        write(text)
-        text = sep + more
-    write(text + end)
+    return _Result(
+        lambda: {"d": d, "max_rank": args.max_rank, "relaxed": args.relaxed, "triples": []},
+        lambda: (_CENSUS_HEADER, ()),
+        lambda: [f"{X}: admissible triples for 3 <= rank <= {args.max_rank}"],
+        rows=rendered,
+    )
 
 
 def _cmd_verify_table(X: FanoThreefold | None, args: SimpleNamespace) -> _Result:

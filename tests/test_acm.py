@@ -519,9 +519,9 @@ _RECORDS = [
     (
         _Result,  # builtins as makers, since a lambda does not pickle
         (dict, tuple, list),
-        {"json": dict, "csv": tuple, "human": list, "note": None},
+        {"json": dict, "csv": tuple, "human": list, "note": None, "rows": None},
         "_Result(json=<class 'dict'>, csv=<class 'tuple'>, human=<class 'list'>, "
-        "note=None)",
+        "note=None, rows=None)",
     ),
 ]
 

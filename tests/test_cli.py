@@ -204,6 +204,42 @@ def test_census_matches_reference_renderer_anywhere(d, max_rank, relaxed, fmt):
     assert out.getvalue() == reference_census(d, max_rank, relaxed, fmt)
 
 
+def reference_admissible(d, rank, relaxed, fmt):
+    """admissible stdout, rendered the long way: make_triple per admissible
+    c1, json.dumps(indent=2) and csv.writer."""
+    X = FanoThreefold(d)
+    triples = [make_triple(X, rank, c1) for c1 in range(rank + 1)
+               if admissible(X, rank, c1, relaxed=relaxed)]
+    if fmt == "json":
+        payload = {"d": d, "rank": rank, "relaxed": relaxed,
+                   "triples": [t.to_json() for t in triples]}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus"])
+        writer.writerows(triples)
+        return buf.getvalue()
+    mode = "relaxed" if relaxed else "strict"
+    lines = [f"{X}: rank {rank}, {mode} admissible c1 values: {len(triples)}"]
+    lines += [f"  c1={t.c1}: c2={t.c2}, c3={t.c3}, "
+              f"curve degree {t.curve_degree}, genus {t.curve_genus}" for t in triples]
+    return "".join(line + "\n" for line in lines)
+
+
+# On V_3 strict, ranks 6142, 6143, 6144 and 12287 have 4095, 4096, 4097 and
+# 8192 triples: one row short of a chunk, a chunk, one over, and two.
+@pytest.mark.parametrize("rank", [3, 8, 6142, 6143, 6144, 12287])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_admissible_matches_reference_renderer(capsys, d, rank):
+    for relaxed in (False, True):
+        for fmt in ("human", "json", "csv"):
+            argv = ["admissible", "--d", str(d), "--rank", str(rank), "--format", fmt]
+            code, out, err = invoke(capsys, argv + ["--relaxed"] * relaxed)
+            assert (code, err) == (0, "")
+            assert out == reference_admissible(d, rank, relaxed, fmt)
+
+
 class _CountingSink:
     """A stdout that keeps only the number of characters written to it."""
 
@@ -238,6 +274,14 @@ def test_census_streams_in_bounded_memory():
     # (about 1 MB) plus the per-c1 table
     assert sink.chars > 80 * 2**20
     assert peaks[1000] - peaks[300] < 2**20
+
+
+@pytest.mark.parametrize("rank, writes", [(6143, 1), (6144, 2)])
+def test_admissible_writes_one_chunk_of_rows_per_write(rank, writes):
+    sink = _CountingSink()
+    with contextlib.redirect_stdout(sink):
+        code = run(["admissible", "--d", "3", "--rank", str(rank)])
+    assert (code, sink.writes) == (0, writes)  # 4096 and 4097 triples
 
 
 @pytest.mark.parametrize(
@@ -918,11 +962,13 @@ def test_module_entry_point():
     "argv",
     [
         ["census", "--d", "5", "--max-rank", "1000", "--relaxed"],  # fails mid-stream
-        ["admissible", "--d", "3", "--rank", "300000"],  # fails in its one write
+        ["admissible", "--d", "3", "--rank", "300000"],  # fails mid-stream
+        # fails in its one write, of about 5 MB
+        ["witness", "--d", "3", "--rank", "1000000", "--c1", "1000000"],
     ],
 )
 def test_closed_stdout_ends_quietly_with_exit_1(argv):
-    # Both outputs are megabytes, far more than a pipe holds, so the
+    # All three outputs are megabytes, far more than a pipe holds, so the
     # process is still writing when the reader goes away.  stdout is left
     # buffered, as by default; unbuffered (PYTHONUNBUFFERED), main() puts a
     # buffered layer under it, and the next test covers that case.
