@@ -19,14 +19,14 @@ early (`| head`) ends the process quietly with exit 1.
 
 There is one output path.  A handler returns a _Result: one zero-argument
 maker per format (the json payload, the csv header and rows, the human
-lines), an optional stderr note, which means exit 2, and for the two list
-outputs, admissible and census, rows: a function of the format giving one
-"%" row template per triple filled with a plain admissible-triple row (the
-json template is what json.dumps(indent=2) makes of the row's dict).  Only
-the emitter, _emit, reads --format or writes stdout.  It calls that format's
-maker and writes the text in one call, or with rows in chunks of a few
-thousand rows, one call each, after the csv or human text or in the json
-payload's last value, an empty list; so the census's memory stays flat.
+lines), an optional stderr note, which means exit 2, and, for the list
+outputs admissible and census, rows: a function of the format that yields
+one rendered row per triple, a "%" template filled with the triple's plain
+row (the json template is what json.dumps(indent=2) makes of the row's
+dict).  Only the emitter, _emit, reads --format or writes stdout.  It calls
+that format's maker and writes the text in one call; rows follow the csv or
+human text, or fill the json payload's last value, an empty list, in chunks
+of a few thousand rows, one call each, so the census's memory stays flat.
 
 json output is json.dumps(payload, indent=2) byte for byte, but it is made
 by the stdlib's C encoder, which json.dumps leaves for a pure-Python one as
