@@ -17,6 +17,10 @@ each call, since they are unbounded.  The symbolic table columns
 (polynomials in d) are read off the numeric Whitney sums at d = 3, 4, 5:
 every such sum is linear in d, so two degrees determine the polynomial and
 the third checks it.
+The census table's other columns (the printed and forced (c2, c3), the
+d_set string and the rendered decomposition) are built once per process
+by _table_columns, per degree and once for the symbolic table; every call
+recomputes the Whitney totals, which no cache holds.
 
 BlockSpec, DPoly, TableRow and Discrepancy, like the package's other value
 records, are collections.namedtuple subclasses with ``__slots__ = ()``, equal
@@ -175,6 +179,7 @@ _BASE_TAIL: dict[Family, tuple[DPoly, DPoly]] = {
 }
 
 _ALL_D = frozenset({3, 4, 5})
+_VARIETIES = (FanoThreefold(3), FanoThreefold(4), FanoThreefold(5))
 
 BLOCKS: dict[Family, BlockSpec] = {
     spec.family: spec
@@ -477,35 +482,45 @@ class Discrepancy(
     __slots__ = ()
 
 
-def _checked_rows(
-    X: FanoThreefold,
-) -> list[tuple[TableRow, ChernData, Discrepancy | None]]:
-    """Every census row applicable to X, with the Whitney sum of its
-    decomposition and its Discrepancy (None when it matches), so that a
-    report listing both computes each total once."""
+@functools.cache
+def _table_columns(d: int | None) -> tuple[tuple[TableRow, dict, tuple, tuple | None], ...]:
+    """The census table's columns that no Whitney total enters, for each row
+    applicable at degree d, or for every row when d is None: the row, its
+    export dict with c2_computed, c3_computed and status left None, the
+    printed (c2, c3), ints at d or DPoly strings for None, and the forced
+    (c2, c3) at d (None for None).  At most four entries, filled on first
+    use; the totals are recomputed by every caller."""
     out = []
     for row in _TABLE1:
-        if X.d not in row.d_set:
+        if d is None:
+            printed, forced = (str(row.c2_printed), str(row.c3_printed)), None
+        elif d in row.d_set:
+            X = FanoThreefold(d)
+            printed = (row.c2_printed(d), row.c3_printed(d))
+            forced = (forced_c2(X, row.rank, row.c1), forced_c3(X, row.rank, row.c1))
+        else:
             continue
+        d_set = ",".join(str(e) for e in sorted(row.d_set))
+        export = dict(zip(TABLE_EXPORT_COLUMNS, (
+            d_set, row.rank, row.c1, *printed, None, None, row.decomposition.render(), None,
+        )))
+        out.append((row, export, printed, forced))
+    return tuple(out)
+
+
+def _checked_rows(X: FanoThreefold) -> list[tuple[dict, ChernData, Discrepancy | None]]:
+    """Every census row applicable to X, as its export dict (not to be
+    mutated), the Whitney sum of its decomposition and its Discrepancy
+    (None when it matches), so that a report listing both computes each
+    total once."""
+    out = []
+    for row, export, printed, forced in _table_columns(X.d):
         total = row.decomposition.chern(X)
-        fc2 = forced_c2(X, row.rank, row.c1)
-        fc3 = forced_c3(X, row.rank, row.c1)
-        pc2 = row.c2_printed(X.d)
-        pc3 = row.c3_printed(X.d)
-        printed_ok = (total.rank, total.c1, total.c2, total.c3) == (
-            row.rank,
-            row.c1,
-            pc2,
-            pc3,
-        )
-        forced_ok = (total.c2, total.c3) == (fc2, fc3)
+        tail = (total.c2, total.c3)
         disc = None
-        if not (printed_ok and forced_ok):
-            disc = Discrepancy(
-                X.d, row.rank, row.c1, pc2, pc3,
-                total.c2, total.c3, fc2, fc3,
-            )
-        out.append((row, total, disc))
+        if tail != printed or tail != forced or (total.rank, total.c1) != (row.rank, row.c1):
+            disc = Discrepancy(X.d, row.rank, row.c1, *printed, *tail, *forced)
+        out.append((export, total, disc))
     return out
 
 
@@ -543,44 +558,30 @@ TABLE_EXPORT_COLUMNS = (
 )
 
 
-def _symbolic_checked_rows():
-    """(row, printed c2, c3, computed c2, c3, ok) for every census row, with
-    the values as polynomials in d, read off the totals at d = 3, 4, 5."""
-    varieties = [FanoThreefold(d) for d in (3, 4, 5)]
-    for row in _TABLE1:
-        totals = [row.decomposition.chern(V) for V in varieties]
-        c2c = _linear_in_d(tuple(t.c2 for t in totals))
-        c3c = _linear_in_d(tuple(t.c3 for t in totals))
-        ok = totals[0].c1 == row.c1 and c2c == row.c2_printed and c3c == row.c3_printed
-        yield row, str(row.c2_printed), str(row.c3_printed), str(c2c), str(c3c), ok
-
-
 def table_export_rows(X: FanoThreefold | None = None) -> list[dict]:
-    """The census table with recomputed columns, one dict per row.
+    """The census table with recomputed columns, one new dict per row.
 
     With X given, rows are restricted to those applicable to X.d, all
     values are integers and a row's status is "ok" exactly when
     verify_table1 reports no discrepancy for it; without it all 23 rows
     appear with values as polynomials in d (rendered like "4d+12").
     """
-    if X is None:
-        checked = _symbolic_checked_rows()
-    else:
-        checked = (
-            (row, row.c2_printed(X.d), row.c3_printed(X.d), total.c2, total.c3, disc is None)
-            for row, total, disc in _checked_rows(X)
-        )
-    return [
-        {
-            "d_set": ",".join(str(d) for d in sorted(row.d_set)),
-            "rank": row.rank,
-            "c1": row.c1,
-            "c2_printed": pc2,
-            "c3_printed": pc3,
-            "c2_computed": cc2,
-            "c3_computed": cc3,
-            "decomposition": row.decomposition.render(),
-            "status": "ok" if ok else "mismatch",
-        }
-        for row, pc2, pc3, cc2, cc3, ok in checked
-    ]
+    if X is not None:
+        return [
+            dict(export, c2_computed=total.c2, c3_computed=total.c3,
+                 status="ok" if disc is None else "mismatch")
+            for export, total, disc in _checked_rows(X)
+        ]
+    rows = []
+    for row, export, (pc2, pc3), _ in _table_columns(None):
+        totals = [row.decomposition.chern(V) for V in _VARIETIES]
+        c2 = _linear_in_d(tuple(t.c2 for t in totals))
+        c3 = _linear_in_d(tuple(t.c3 for t in totals))
+        c2_ok, c3_ok = c2 == row.c2_printed, c3 == row.c3_printed
+        rows.append(dict(
+            export,
+            c2_computed=pc2 if c2_ok else str(c2),
+            c3_computed=pc3 if c3_ok else str(c3),
+            status="ok" if c2_ok and c3_ok and totals[0].c1 == row.c1 else "mismatch",
+        ))
+    return rows

@@ -70,7 +70,7 @@ from .acm import (
     NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows, enumerate_admissible,
     oracle_enumerate, validate_witness, witness,
 )
-from .catalog import TABLE_EXPORT_COLUMNS, _checked_rows, table_export_rows
+from .catalog import TABLE_EXPORT_COLUMNS, _VARIETIES, _checked_rows, table_export_rows
 from .chow import ChernData, FanoThreefold, InternalError, chi_twist, format_rational, twist
 from .rank2 import NoACMBundle, SplitLineBundles, TwistOf, classify_rank2
 
@@ -341,22 +341,22 @@ def _cmd_verify_table(X: FanoThreefold | None, args: SimpleNamespace) -> _Result
 
     def human():
         lines = []
-        for V in map(FanoThreefold, (3, 4, 5)) if X is None else (X,):
+        for V in _VARIETIES if X is None else (X,):
             rows = _checked_rows(V)
             flagged = sum(disc is not None for _, _, disc in rows)
             lines.append(
                 f"{V}: {len(rows)} applicable rows, "
                 f"{len(rows) - flagged} match, {flagged} mismatch"
             )
-            for row, total, disc in rows:
+            for export, total, disc in rows:
                 lines.append(
-                    f"  [ok] rank {row.rank}, c1={row.c1}: "
-                    f"(c2,c3)=({total.c2},{total.c3}), {row.decomposition.render()}"
+                    f"  [ok] rank {export['rank']}, c1={export['c1']}: "
+                    f"(c2,c3)=({total.c2},{total.c3}), {export['decomposition']}"
                     if disc is None else
                     f"  [MISMATCH] rank {disc.rank}, c1={disc.c1}: printed "
                     f"(c2,c3)=({disc.printed_c2},{disc.printed_c3}), computed "
                     f"({disc.computed_c2},{disc.computed_c3}), forced "
-                    f"({disc.forced_c2},{disc.forced_c3}), {row.decomposition.render()}"
+                    f"({disc.forced_c2},{disc.forced_c3}), {export['decomposition']}"
                 )
         return lines
 

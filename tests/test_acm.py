@@ -54,7 +54,9 @@ from fano_acm.acm import (
     WITNESS_MAX_RANK,
     _admissible_count,
     _admissible_rows,
+    _oracle_blocks,
 )
+from fano_acm.catalog import _block_rank_c1
 from fano_acm.cli import _Result
 from support import VARIETIES
 
@@ -686,6 +688,28 @@ def test_oracle_deterministic_order():
     decs = oracle_enumerate(FanoThreefold(5), 7, 2)
     assert decs == sorted(decs, key=Decomposition.sort_key)
     assert decs == oracle_enumerate(FanoThreefold(5), 7, 2)
+
+
+def test_every_eligible_block_has_rank_at_most_d_c1():
+    # so every sum of eligible blocks has r <= d c1 too: the census's
+    # relaxed-only rows, where d c1 = r - 1, are out of the catalog's reach
+    for X in VARIETIES:
+        blocks = _oracle_blocks(X)
+        assert blocks
+        for b in blocks:
+            rank, c1 = _block_rank_c1(b)
+            assert rank <= X.d * c1, (X.d, b)
+
+
+def test_oracle_finds_nothing_on_the_relaxed_only_census_rows():
+    for X in VARIETIES:
+        unknown = [row for row in _admissible_rows(X, range(3, 13), True)
+                   if X.d * row[2] < row[1]]
+        assert unknown
+        for _, r, c1, *_ in unknown:
+            assert X.d * c1 == r - 1
+            assert admissible(X, r, c1, relaxed=True) and not admissible(X, r, c1)
+            assert oracle_enumerate(X, r, c1) == [], (X.d, r, c1)
 
 
 # --- chi identities of admissible triples ---------------------------------------

@@ -29,7 +29,7 @@ from fano_acm import (
     table1_rows,
     twist,
 )
-from fano_acm import cli
+from fano_acm import catalog, cli
 from fano_acm.cli import _build_parser, _json_text, _UsageError, run
 
 
@@ -368,6 +368,33 @@ def test_verify_table_human_derives_each_total_once(capsys, monkeypatch):
     assert code == 0
     applicable = Counter(d for row in table1_rows() for d in row.d_set)
     assert Counter(degrees) == applicable == {3: 20, 4: 22, 5: 23}
+
+
+_VERIFY_TABLE_ARGVS = [
+    ["verify-table", *d, "--format", fmt]
+    for d in ([], ["--d", "3"], ["--d", "4"], ["--d", "5"])
+    for fmt in ("human", "json", "csv")
+]
+
+
+@pytest.mark.parametrize("argv", _VERIFY_TABLE_ARGVS, ids=" ".join)
+def test_verify_table_rebuilds_no_constant_column(capsys, monkeypatch, argv):
+    # the forced classes and the rendered decompositions are fixed per
+    # degree: after one call, a repeat derives only the Whitney totals
+    expected = invoke(capsys, argv)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("forced_c2", "forced_c3"):
+        monkeypatch.setattr(catalog, name, counted(name, getattr(catalog, name)))
+    monkeypatch.setattr(Decomposition, "render", counted("render", Decomposition.render))
+    assert invoke(capsys, argv) == expected
+    assert expected[0] == 0 and calls == Counter()
 
 
 def test_verify_table_csv_symbolic(capsys):
@@ -942,6 +969,25 @@ def test_cli_output_matches_golden_file(capsys, monkeypatch, argv, code, out, er
         # argparse 3.13 breaks long usage lines at other places
         out, got_out = out.split(), got_out.split()
     assert (got, got_out, captured.err) == (code, out, err)
+
+
+@pytest.mark.parametrize("symbolic_first", [True, False], ids=["symbolic", "per-degree"])
+def test_verify_table_output_is_independent_of_call_order(capsys, symbolic_first):
+    golden = {tuple(argv): (code, out, err) for argv, code, out, err in _GOLDEN_CLI}
+    argvs = sorted(_VERIFY_TABLE_ARGVS, key=lambda argv: ("--d" in argv) == symbolic_first)
+    catalog._table_columns.cache_clear()
+    for argv in argvs:
+        assert invoke(capsys, argv) == golden[tuple(argv)], argv
+
+
+def test_verify_table_rows_are_fresh_dicts():
+    for X in (None, FanoThreefold(4)):
+        rows = catalog.table_export_rows(X)
+        expected = [dict(row) for row in rows]
+        rows[0]["status"] = "mismatch"
+        rows[0]["decomposition"] = "O_V"
+        rows[-1].clear()
+        assert catalog.table_export_rows(X) == expected
 
 
 def test_module_entry_point():
