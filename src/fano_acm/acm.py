@@ -17,17 +17,21 @@ peeling off S_E(1) (when c1 = r), S_C(1) (when c1 >= (r-2)/d + 1) or the
 rank-d block with c1 = 1 (otherwise) down to a census row.  The peeling
 always runs as some S_C(1) steps followed by S_E(1) steps or rank-d steps,
 so the three step counts are computed in closed form, and the returned
-Decomposition stores only its block counts.  witness() merges the three
-runs into the census row's counts in canonical order, so the Decomposition
-keeps them without a sort, and its Whitney total is one pass over them:
-building and validating a witness costs the same handful of integer
-operations at any rank.  Its ``blocks`` tuple, render() and to_json() list
-every summand, and the command line prints them, so witness() refuses
-ranks above WITNESS_MAX_RANK with BoundExceeded (exit 1 on the command
-line).
+Decomposition stores only its block counts.  witness() adds the three
+runs to the census row's counts along the row's seed plan, made at
+import: the row's blocks and the three peeled blocks in canonical order,
+each with its count in the row and the run that adds to it.  So the merge
+compares no keys, the Decomposition keeps the counts without a sort, and
+its Whitney total is one pass over them, reading each block's entry in
+catalog's per-degree block table: building and validating a witness
+costs the same handful of integer operations at any rank.  Its
+``blocks`` tuple, render() and to_json() list every summand, and the
+command line prints them, so witness() refuses ranks above
+WITNESS_MAX_RANK with BoundExceeded (exit 1 on the command line).
 validate_witness() records the facts its five checks read (the Whitney
 total, the forced (c2, c3), the unavailable families and the number of
-trivial summands) and decides the five verdicts from them.  Its
+trivial summands, the last two read from the same block table entries in
+one pass over the counts) and decides the five verdicts from them.  Its
 ValidationReport is those facts plus ``checks``, which builds the Check
 records and their detail strings only when it is read, so a validation
 costs its Whitney total plus a few integer comparisons.
@@ -69,6 +73,7 @@ from .catalog import (
     _SC1,
     _SE1,
     _block_rank_c1,
+    _unavailable_and_trivial,
     block_available,
     table1_rows,
 )
@@ -245,6 +250,20 @@ _SEEDS = {
 }
 
 
+def _seed_plan(d: int, seed: Decomposition) -> tuple[tuple[BlockId, int, int], ...]:
+    """The seed's blocks and the three peeled blocks on V_d, in canonical
+    order, each with its count in the seed and the index of the peeled run
+    that adds to it in (S_C(1), S_E(1), rank-d), or 3 for none."""
+    plan = {b._key: (b, k, 3) for b, k in seed.counts}
+    for run, b in enumerate((_SC1, _SE1, _RANK_D_BLOCK[d])):
+        plan[b._key] = (b, plan.get(b._key, (b, 0))[1], run)
+    return tuple(plan[key] for key in sorted(plan))
+
+
+# Merge plans of the census rows, by the same keys as _SEEDS.
+_SEED_PLANS = {key: _seed_plan(key[0], seed) for key, seed in _SEEDS.items()}
+
+
 def _peel_counts(d: int, rank: int, c1: int) -> tuple[int, int, int]:
     """Numbers of S_C(1), S_E(1) and rank-d steps peeled from a strictly
     admissible (r, c1) before r <= 7.
@@ -282,7 +301,6 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
     """An explicit direct sum of catalog blocks with the forced invariants
     at (d, r, c1).  Raises NotAdmissible outside the strict range, and
     BoundExceeded for an admissible rank above WITNESS_MAX_RANK."""
-    _check_rank(rank)
     if not admissible(X, rank, c1):
         if X.d * c1 < rank:
             reason = f"r/d ≤ c1 fails ({rank}/{X.d} > {c1})"
@@ -291,23 +309,19 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
         raise NotAdmissible(f"not admissible: {reason}")
     if rank > WITNESS_MAX_RANK:
         raise BoundExceeded(f"rank {rank} exceeds the witness bound {WITNESS_MAX_RANK}")
-    sc, se, rd = _peel_counts(X.d, rank, c1)
-    seed = _SEEDS[(X.d, rank - 2 * (sc + se) - X.d * rd, c1 - sc - 2 * se - rd)]
+    d = X.d
+    sc, se, rd = _peel_counts(d, rank, c1)
+    key = (d, rank - 2 * (sc + se) - d * rd, c1 - sc - 2 * se - rd)
     if not (sc or se or rd):
-        return seed
-    # merge the peeled runs, in canonical order, into the seed's canonical
-    # counts, so that Decomposition stores the result without sorting it
-    counts, i = list(seed.counts), 0
-    for block, k in ((_SC1, sc), (_SE1, se), (_RANK_D_BLOCK[X.d], rd)):
-        if not k:
-            continue
-        key = block._key
-        while i < len(counts) and counts[i][0]._key < key:
-            i += 1
-        if i < len(counts) and counts[i][0]._key == key:
-            counts[i] = (block, counts[i][1] + k)
-        else:
-            counts.insert(i, (block, k))
+        return _SEEDS[key]
+    # the seed's plan lists the merged counts in canonical order, so that
+    # Decomposition stores them without sorting
+    peeled = (sc, se, rd, 0)
+    counts = []
+    for block, k, run in _SEED_PLANS[key]:
+        k += peeled[run]
+        if k:
+            counts.append((block, k))
     return Decomposition(counts=tuple(counts))
 
 
@@ -370,13 +384,7 @@ def validate_witness(
     All five verdicts are decided here, on the exact Whitney total."""
     total = dec.chern(X)
     forced = (forced_c2(X, rank, c1), forced_c3(X, rank, c1))
-    unavailable, trivial = set(), 0
-    for b, k in dec.counts:
-        if not block_available(b.family, X):
-            unavailable.add(b.family.value)
-        if b.family is Family.OV:
-            trivial += k
-    unavailable = tuple(sorted(unavailable))
+    unavailable, trivial = _unavailable_and_trivial(dec.counts, X)
     verdicts = (
         not unavailable,
         total.rank == rank,

@@ -9,14 +9,16 @@ and a verbatim transcription of the classical rank <= 7 census table (one
 historically misprinted entry included).  verify_table1 recomputes every row
 and reports mismatches; the stored data is never silently corrected.
 
-A block's Chern data at twist 0 depends only on its family and d, so it is
-cached per (family, variety), at most 30 entries filled on first use.  So
-is its data at twist 1, which covers S_C(1) and S_E(1), the only twisted
-blocks of the table and of every witness; other twists are computed on
-each call, since they are unbounded.  The symbolic table columns
-(polynomials in d) are read off the numeric Whitney sums at d = 3, 4, 5:
-every such sum is linear in d, so two degrees determine the polynomial and
-the third checks it.
+A block's data depends only on its family, its twist and d, so each degree
+has one table, built on first use, of every family at twists 0 and 1 (20
+entries; S_C(1) and S_E(1) are the only twisted blocks of the census table
+and of every witness).  An entry holds the block's ChernData, the rank,
+c1, c1^2, c1^3, c2, c3 and c1 c2 that Whitney totals read, its
+availability on V_d and whether it is O_V, which witness validation
+reads.  Other twists are computed on each call, since they are
+unbounded.  The symbolic table columns (polynomials in d) are read off
+the numeric Whitney sums at d = 3, 4, 5: every such sum is linear in d,
+so two degrees determine the polynomial and the third checks it.
 The census table's other columns (the printed and forced (c2, c3), the
 d_set string and the rendered decomposition) are built once per process
 by _table_columns, per degree and once for the symbolic table; every call
@@ -30,7 +32,8 @@ own class; a BlockId keeps its (family order, twist) sort key in a slot,
 and a Decomposition stores only its block counts, expanding ``blocks`` from
 them on each read.  Counts given in canonical order are stored as given,
 without a sort, and the Chern data of a Decomposition is one pass over its
-counts into the closed form of _whitney_total: no pairwise Whitney sums.
+counts, reading each block's table entry, into the closed form of
+_whitney_total: no pairwise Whitney sums.
 """
 
 from __future__ import annotations
@@ -236,28 +239,61 @@ def block_chern(block: BlockId, X: FanoThreefold) -> ChernData:
     is not defined on V_d (e.g. F_{5,1} with d = 4)."""
     if not block_available(block.family, X):
         raise UnavailableBlock(f"{block.family.value} is not available on {X}")
-    return _block_chern_unchecked(block, X)
+    return _block_chern(block, X)
+
+
+def _block_entry(family: Family, X: FanoThreefold, c: ChernData) -> tuple:
+    """A block table entry, for the family's block with Chern data c:
+    (c, rank, c1, c1^2, c1^3, c2, c3, c1 c2, available on X, is O_V)."""
+    a = c.c1
+    return (c, c.rank, a, a * a, a * a * a, c.c2, c.c3, a * c.c2,
+            block_available(family, X), family is Family.OV)
 
 
 @functools.cache
-def _base_chern(family: Family, X: FanoThreefold) -> ChernData:
-    # at most 10 families x 3 degrees; filled on first use
-    return BLOCKS[family].base_chern(X)
+def _block_table(d: int) -> dict[tuple[int, int], tuple]:
+    """The entries of every family at twists 0 and 1 on V_d, keyed by
+    BlockId._key; built on first use."""
+    X = FanoThreefold(d)
+    table = {}
+    for family, order in _FAMILY_ORDER.items():
+        base = BLOCKS[family].base_chern(X)
+        table[order, 0] = _block_entry(family, X, base)
+        table[order, 1] = _block_entry(family, X, twist(base, X, 1))
+    return table
 
 
-@functools.cache
-def _twist1_chern(family: Family, X: FanoThreefold) -> ChernData:
-    # at most 10 families x 3 degrees; filled on first use
-    return twist(_base_chern(family, X), X, 1)
+def _block_chern(block: BlockId, X: FanoThreefold) -> ChernData:
+    # read from the table at twists 0 and 1, twisted on each call at the
+    # others; formulas evaluate at any d, available there or not
+    table = _block_table(X.d)
+    entry = table.get(block._key)
+    if entry is None:
+        return twist(table[block._key[0], 0][0], X, block.twist)
+    return entry[0]
 
 
-def _block_chern_unchecked(block: BlockId, X: FanoThreefold) -> ChernData:
-    # formulas evaluate at any d; availability is checked by callers that care
-    if not block.twist:
-        return _base_chern(block.family, X)
-    if block.twist == 1:
-        return _twist1_chern(block.family, X)
-    return twist(_base_chern(block.family, X), X, block.twist)
+def _block_data(block: BlockId, X: FanoThreefold) -> tuple:
+    """The block's table entry on X, built on each call at twists the
+    table does not hold."""
+    entry = _block_table(X.d).get(block._key)
+    return entry or _block_entry(block.family, X, _block_chern(block, X))
+
+
+def _unavailable_and_trivial(
+    counts: tuple[tuple[BlockId, int], ...], X: FanoThreefold
+) -> tuple[tuple[str, ...], int]:
+    """The sorted names of the families among ``counts`` not available on
+    X, and the number of O_V summands, in one pass over the blocks' entries."""
+    table = _block_table(X.d)
+    unavailable, trivial = [], 0
+    for b, k in counts:
+        entry = table.get(b._key) or _block_data(b, X)
+        if not entry[8]:
+            unavailable.append(b.family.value)
+        if entry[9]:
+            trivial += k
+    return (tuple(sorted(set(unavailable))) if unavailable else ()), trivial
 
 
 def _block_rank_c1(block: BlockId) -> tuple[int, int]:
@@ -371,22 +407,24 @@ class Decomposition(_Record):
     def chern(self, X: FanoThreefold) -> ChernData:
         """Whitney sum of the blocks, in one pass over ``counts`` (computed
         whether or not every block is available on X; availability is
-        validated separately).  See _whitney_total for the closed form."""
+        validated separately).  Each block's rank, powers of c1, c2, c3
+        and c1 c2 are read from its _block_table entry; see _whitney_total
+        for the closed form."""
         counts = self.counts
         if len(counts) == 1 and counts[0][1] == 1:
-            # one copy of one block, as in five census rows: its cached data
-            return _block_chern_unchecked(counts[0][0], X)
+            # one copy of one block, as in five census rows: its table data
+            return _block_chern(counts[0][0], X)
+        table = _block_table(X.d)
         rank = s1 = s2 = s3 = sum_c2 = sum_c3 = sum_c1c2 = 0
         for b, k in counts:
-            c = _block_chern_unchecked(b, X)
-            a, k_a, k_c2 = c.c1, k * c.c1, k * c.c2
-            rank += k * c.rank
-            s1 += k_a
-            s2 += k_a * a
-            s3 += k_a * a * a
-            sum_c2 += k_c2
-            sum_c3 += k * c.c3
-            sum_c1c2 += k_c2 * a
+            _, r, a, a2, a3, c2, c3, ac2, _, _ = table.get(b._key) or _block_data(b, X)
+            rank += k * r
+            s1 += k * a
+            s2 += k * a2
+            s3 += k * a3
+            sum_c2 += k * c2
+            sum_c3 += k * c3
+            sum_c1c2 += k * ac2
         return _whitney_total(X.d, rank, s1, s2, s3, sum_c2, sum_c3, sum_c1c2)
 
     def render(self) -> str:

@@ -49,12 +49,15 @@ from fano_acm import (
     witness,
 )
 from fano_acm.acm import (
+    _SEED_PLANS,
+    _SEEDS,
     ENUMERATE_MAX_TRIPLES,
     ORACLE_MAX_RANK,
     WITNESS_MAX_RANK,
     _admissible_count,
     _admissible_rows,
     _oracle_blocks,
+    _peel_counts,
 )
 from fano_acm.catalog import _block_rank_c1
 from fano_acm.cli import _Result
@@ -318,6 +321,57 @@ def test_witness_hands_decomposition_canonical_counts(monkeypatch):
             assert dec.counts is given[0]
 
 
+def reference_merge(X, rank, c1):
+    """The witness's counts by merging the peeled runs into the seed's
+    counts with key comparisons, as witness() did before its seed plans."""
+    sc, se, rd = _peel_counts(X.d, rank, c1)
+    seed = _SEEDS[(X.d, rank - 2 * (sc + se) - X.d * rd, c1 - sc - 2 * se - rd)]
+    counts, i = list(seed.counts), 0
+    for block, k in ((SC1, sc), (SE1, se), ({3: F31, 4: F41, 5: F51}[X.d], rd)):
+        if not k:
+            continue
+        key = block._key
+        while i < len(counts) and counts[i][0]._key < key:
+            i += 1
+        if i < len(counts) and counts[i][0]._key == key:
+            counts[i] = (block, counts[i][1] + k)
+        else:
+            counts.insert(i, (block, k))
+    return tuple(counts)
+
+
+def test_witness_counts_match_the_reference_merge(monkeypatch):
+    post_init, given = Decomposition.__dict__["__post_init__"], []
+
+    def hook(obj):
+        given.append(obj.counts)
+        post_init(obj)
+
+    monkeypatch.setattr(Decomposition, "__post_init__", hook)
+    cases = [(X, r, c1) for X in VARIETIES for r in range(3, 201)
+             for c1 in strict_c1_range(X, r)]
+    cases += [(X, 10**6, c1) for X in VARIETIES
+              for c1 in large_rank_c1_values(X, 10**6)]
+    for X, r, c1 in cases:
+        del given[:]
+        dec = witness(X, r, c1)
+        assert dec.counts == reference_merge(X, r, c1), (X.d, r, c1)
+        if r > 7:  # stored as given, without a sort
+            assert len(given) == 1 and dec.counts is given[0], (X.d, r, c1)
+
+
+def test_seed_plans_are_canonical_and_cover_every_seed():
+    assert _SEED_PLANS.keys() == _SEEDS.keys()
+    for (d, _, _), plan in _SEED_PLANS.items():
+        keys = [block.sort_key() for block, _, _ in plan]
+        assert keys == sorted(set(keys))
+    for key, seed in _SEEDS.items():
+        plan = _SEED_PLANS[key]
+        assert tuple((b, k) for b, k, _ in plan if k) == seed.counts
+        runs = {b: run for b, _, run in plan if run != 3}
+        assert runs == {SC1: 0, SE1: 1, {3: F31, 4: F41, 5: F51}[key[0]]: 2}
+
+
 @pytest.mark.parametrize("X", VARIETIES, ids=str)
 def test_witness_above_rank_bound_raises_bound_exceeded(X):
     for r in (WITNESS_MAX_RANK + 1, 10**18, 10**50):
@@ -379,6 +433,33 @@ def test_validate_flags_wrong_totals():
     by_name = {c.name: c for c in report.checks}
     assert not by_name["rank"].passed
     assert by_name["c1"].passed
+
+
+def test_validate_computes_twists_outside_the_block_table():
+    # S_L(5) and F_{3,2}(-3) are off the table's twists 0 and 1, and
+    # F_{5,1} is not available on V_3; the values are those of the
+    # per-block lookups the table replaced
+    X = FanoThreefold(3)
+    blocks = (BlockId(Family.SL, 5), BlockId(Family.F32, -3), F51)
+    report = validate_witness(X, Decomposition(blocks), 10, 4)
+    assert report == (
+        X, 10, 4, ChernData(10, 4, -69, -130), (28, 44), ("F_{5,1}",), 0,
+        (False, True, True, False, True),
+    )
+    assert report.to_json() == {"ok": False, "checks": [
+        {"name": "availability", "passed": False, "detail": "not available on V_3: F_{5,1}"},
+        {"name": "rank", "passed": True, "detail": "rank sum 10, target 10"},
+        {"name": "c1", "passed": True, "detail": "c1 sum 4, target 4"},
+        {"name": "c2_c3_forced", "passed": False,
+         "detail": "c2 -69 vs forced 28, c3 -130 vs forced 44"},
+        {"name": "no_trivial_summands", "passed": True, "detail": "no trivial summands"},
+    ]}
+    blocks += (BlockId(Family.OV), BlockId(Family.OV, 2), F72)
+    report = validate_witness(X, Decomposition(blocks), 19, 8)
+    assert report == (
+        X, 19, 8, ChernData(19, 8, 3, -276), (103, 304), ("F_{5,1}", "F_{7,2}"), 2,
+        (False, True, True, False, False),
+    )
 
 
 def reference_checks(X, dec, rank, c1):

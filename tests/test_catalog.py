@@ -35,7 +35,7 @@ from fano_acm import (
     whitney_sum,
     witness,
 )
-from fano_acm.catalog import _base_chern, _linear_in_d, _twist1_chern
+from fano_acm.catalog import _block_data, _block_table, _linear_in_d
 from support import VARIETIES
 
 SC1 = BlockId(Family.SC, 1)
@@ -468,7 +468,20 @@ def test_dpoly_rendering():
     assert DPoly(2, 4)(5) == 22
 
 
+def block_tables() -> dict[int, dict]:
+    """A copy of the block table of every degree, built if it is not yet."""
+    return {X.d: dict(_block_table(X.d)) for X in VARIETIES}
+
+
+def assert_tables_bounded_and_unchanged(before: dict[int, dict]) -> None:
+    for X in VARIETIES:
+        table = _block_table(X.d)
+        assert len(table) <= 2 * len(Family) == 20
+        assert table == before[X.d]
+
+
 def test_base_chern_cache_holds_one_entry_per_family_and_degree():
+    before = block_tables()
     twists = list(range(-(10**6), 10**6 + 1, 9973)) + [10**6]
     for X in VARIETIES:
         for family in Family:
@@ -479,10 +492,11 @@ def test_base_chern_cache_holds_one_entry_per_family_and_degree():
                     twist(BLOCKS[family].base_chern(X), X, -t),
                     X,
                 )
-    assert _base_chern.cache_info().currsize <= len(Family) * len(VARIETIES) == 30
+    assert_tables_bounded_and_unchanged(before)
 
 
 def test_twist1_cache_holds_one_entry_per_family_and_degree():
+    before = block_tables()
     twists = list(range(-(10**6), 10**6 + 1, 9973)) + [10**6, 1, 0, -1]
     for X in VARIETIES:
         for family in Family:
@@ -492,15 +506,33 @@ def test_twist1_cache_holds_one_entry_per_family_and_degree():
                 assert dec.chern(X) == whitney_sum(
                     twist(base, X, t), twist(base, X, 1), X
                 )
-    assert _twist1_chern.cache_info().currsize <= len(Family) * len(VARIETIES) == 30
+    assert_tables_bounded_and_unchanged(before)
     for X in VARIETIES:
         for family in Family:
             base = BLOCKS[family].base_chern(X)
-            assert _twist1_chern(family, X) == twist(base, X, 1)
+            assert _block_data(BlockId(family, 1), X)[0] == twist(base, X, 1)
             if block_available(family, X):
                 assert block_chern(BlockId(family, 1), X) == twist(
                     block_chern(BlockId(family), X), X, 1
                 )
+
+
+def test_block_table_matches_its_sources():
+    for X in VARIETIES:
+        table = _block_table(X.d)
+        assert len(table) == 2 * len(Family)
+        for family in Family:
+            base = BLOCKS[family].base_chern(X)
+            for t, chern in ((0, base), (1, twist(base, X, 1))):
+                block = BlockId(family, t)
+                entry = table[block._key]
+                assert entry is _block_data(block, X)
+                c, rank, c1, c1_sq, c1_cube, c2, c3, c1c2, available, trivial = entry
+                assert c == chern and type(c) is ChernData
+                assert (rank, c1, c2, c3) == chern.tuple()
+                assert (c1_sq, c1_cube, c1c2) == (c1**2, c1**3, c1 * c2)
+                assert available is block_available(family, X)
+                assert trivial is (family is Family.OV)
 
 
 def test_linear_in_d_rejects_three_points_off_a_line():

@@ -12,6 +12,7 @@ below therefore holds for all integers, not only for samples.
 from __future__ import annotations
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -249,6 +250,78 @@ def test_twist_distributes_over_whitney_sums():
     assert twist(whitney_sum(a, b, X), X, t) == whitney_sum(
         twist(a, X, t), twist(b, X, t), X
     )
+
+
+# --- twists from the splitting principle ------------------------------------------
+
+# Four ranks: both sides of the twist identity below are polynomials of
+# degree at most 3 in r, so agreeing at four ranks they agree at every r.
+_TWIST_RANKS = (3, 4, 5, 6)
+
+
+def _ring_product(x, y):
+    """Product of x0 + x1 H + x2 L + x3 P and y0 + y1 H + y2 L + y3 P in
+    the Chow ring of V_d: H.L = P, H^2 = dL, H^3 = dP, degree 4 is zero."""
+    return (
+        x[0] * y[0],
+        x[0] * y[1] + x[1] * y[0],
+        x[0] * y[2] + x[2] * y[0] + d * x[1] * y[1],
+        x[0] * y[3] + x[3] * y[0] + x[1] * y[2] + x[2] * y[1],
+    )
+
+
+def _splitting_twist(c: ChernData, tw) -> ChernData:
+    """c_k(F(tw)) = sum_i C(r-i, k-i) c_i(F) (tw H)^(k-i), evaluated in the
+    ring, with C(n, m) = n (n-1) ... (n-m+1) / m!, a polynomial in n."""
+    r = c.rank
+    classes = ((1, 0, 0, 0), (0, c.c1, 0, 0), (0, 0, c.c2, 0), (0, 0, 0, c.c3))
+    powers = [(1, 0, 0, 0)]
+    for _ in range(3):
+        powers.append(_ring_product(powers[-1], (0, tw, 0, 0)))
+    return ChernData(r, *(
+        sum(
+            sp.ff(r - i, k - i) / math.factorial(k - i)
+            * _ring_product(classes[i], powers[k - i])[k]
+            for i in range(k + 1)
+        )
+        for k in (1, 2, 3)
+    ))
+
+
+@pytest.mark.parametrize("r", _TWIST_RANKS)
+def test_splitting_principle_gives_the_binomial_twist(r):
+    # with Chern roots x_j, c(F(t)) = prod_j (1 + x_j + tH); its degree-k
+    # part is sum_i C(r-i, k-i) e_i(x) (tH)^(k-i), e_i(x) being c_i(F)
+    xs, y = sp.symbols(f"x1:{r + 1}"), sp.Symbol("y")
+    product = sp.Poly(sp.prod(1 + x + y for x in xs), *xs, y)
+    e = [sp.Add(*(sp.Mul(*m) for m in itertools.combinations(xs, i))) for i in range(4)]
+    for k in (1, 2, 3):
+        part = sp.Add(*(
+            coeff * sp.Mul(*(v**n for v, n in zip((*xs, y), monom)))
+            for monom, coeff in product.terms() if sum(monom) == k
+        ))
+        binomial = sp.Add(*(math.comb(r - i, k - i) * e[i] * y ** (k - i) for i in range(k + 1)))
+        assert sp.expand(part - binomial) == 0, (r, k)
+
+
+@pytest.mark.parametrize("r", _TWIST_RANKS)
+def test_twist_is_the_splitting_principle_twist(r):
+    c = ChernData(r, c1a, p0, q0)
+    assert twist(c, X, t) == _splitting_twist(c, t)
+
+
+def test_every_block_twisted_by_1_is_its_splitting_principle_twist():
+    # the twist-1 entries of catalog._block_table, at ranks 1 to 7 and any d
+    for spec in BLOCKS.values():
+        base = spec.base_chern(X)
+        assert twist(base, X, 1) == _splitting_twist(base, 1), spec.family
+
+
+def test_twist_is_cubic_in_the_rank():
+    # what lets four ranks stand for all of them; C(r-i, k-i) with
+    # k - i <= 3 is cubic in r by its product formula
+    twisted = twist(ChernData(s_a + 3, c1a, p0, q0), X, t)
+    assert all(sp.degree(Exact._of(e), s_a.e) <= 3 for e in twisted.tuple())
 
 
 # --- Riemann-Roch: additivity, Serre duality, the defining vanishing ---------------
