@@ -16,12 +16,16 @@ and of every witness).  An entry holds the block's ChernData, the rank,
 c1, c1^2, c1^3, c2, c3 and c1 c2 that Whitney totals read, its
 availability on V_d and whether it is O_V, which witness validation
 reads.  Other twists are computed on each call, since they are
-unbounded.  The symbolic table columns (polynomials in d) are read off
-the numeric Whitney sums at d = 3, 4, 5: every such sum is linear in d,
-so two degrees determine the polynomial and the third checks it.
-The census table's other columns (the printed and forced (c2, c3), the
-d_set string and the rendered decomposition) are built once per process
-by _table_columns, per degree and once for the symbolic table; every call
+unbounded.  The symbolic table columns (polynomials in d) come from the
+numeric Whitney sums at d = 3, 4, 5, compared as int triples with the
+printed polynomials' values there: a row that agrees prints its printed
+polynomial, and only a row that differs (today the one misprint) has its
+polynomial read off the sums.  Every such sum is linear in d, so two
+degrees determine the polynomial and the third checks it; sums that are
+not linear are an InternalError.  The census table's other columns (the
+printed and forced (c2, c3), the printed values at d = 3, 4, 5, the d_set
+string and the rendered decomposition) are built once per process by
+_table_columns, per degree and once for the symbolic table; every call
 recomputes the Whitney totals, which no cache holds.
 
 BlockSpec, DPoly, TableRow and Discrepancy, like the package's other value
@@ -521,28 +525,30 @@ class Discrepancy(
 
 
 @functools.cache
-def _table_columns(d: int | None) -> tuple[tuple[TableRow, dict, tuple, tuple | None], ...]:
+def _table_columns(d: int | None) -> tuple[tuple[TableRow, dict, tuple, tuple], ...]:
     """The census table's columns that no Whitney total enters, for each row
     applicable at degree d, or for every row when d is None: the row, its
     export dict with c2_computed, c3_computed and status left None, the
-    printed (c2, c3), ints at d or DPoly strings for None, and the forced
-    (c2, c3) at d (None for None).  At most four entries, filled on first
-    use; the totals are recomputed by every caller."""
+    printed (c2, c3), ints at d or DPoly strings for None, and what the
+    totals are checked against besides: the forced (c2, c3) at d, or for
+    None the printed c2 and c3 at d = 3, 4, 5 as int triples.  At most four
+    entries, filled on first use; the totals are recomputed by every caller."""
     out = []
     for row in _TABLE1:
         if d is None:
-            printed, forced = (str(row.c2_printed), str(row.c3_printed)), None
+            printed = (str(row.c2_printed), str(row.c3_printed))
+            check = tuple(tuple(map(p, (3, 4, 5))) for p in (row.c2_printed, row.c3_printed))
         elif d in row.d_set:
             X = FanoThreefold(d)
             printed = (row.c2_printed(d), row.c3_printed(d))
-            forced = (forced_c2(X, row.rank, row.c1), forced_c3(X, row.rank, row.c1))
+            check = (forced_c2(X, row.rank, row.c1), forced_c3(X, row.rank, row.c1))
         else:
             continue
         d_set = ",".join(str(e) for e in sorted(row.d_set))
         export = dict(zip(TABLE_EXPORT_COLUMNS, (
             d_set, row.rank, row.c1, *printed, None, None, row.decomposition.render(), None,
         )))
-        out.append((row, export, printed, forced))
+        out.append((row, export, printed, check))
     return tuple(out)
 
 
@@ -611,15 +617,16 @@ def table_export_rows(X: FanoThreefold | None = None) -> list[dict]:
             for export, total, disc in _checked_rows(X)
         ]
     rows = []
-    for row, export, (pc2, pc3), _ in _table_columns(None):
-        totals = [row.decomposition.chern(V) for V in _VARIETIES]
-        c2 = _linear_in_d(tuple(t.c2 for t in totals))
-        c3 = _linear_in_d(tuple(t.c3 for t in totals))
-        c2_ok, c3_ok = c2 == row.c2_printed, c3 == row.c3_printed
+    for row, export, (pc2, pc3), (at_d_c2, at_d_c3) in _table_columns(None):
+        # totals equal to the printed values at d = 3, 4, 5 are the printed
+        # polynomials; any other is read off, linear in d or InternalError
+        t3, t4, t5 = map(row.decomposition.chern, _VARIETIES)
+        c2, c3 = (t3.c2, t4.c2, t5.c2), (t3.c3, t4.c3, t5.c3)
+        c2_ok, c3_ok = c2 == at_d_c2, c3 == at_d_c3
         rows.append(dict(
             export,
-            c2_computed=pc2 if c2_ok else str(c2),
-            c3_computed=pc3 if c3_ok else str(c3),
-            status="ok" if c2_ok and c3_ok and totals[0].c1 == row.c1 else "mismatch",
+            c2_computed=pc2 if c2_ok else str(_linear_in_d(c2)),
+            c3_computed=pc3 if c3_ok else str(_linear_in_d(c3)),
+            status="ok" if c2_ok and c3_ok and t3.c1 == row.c1 else "mismatch",
         ))
     return rows

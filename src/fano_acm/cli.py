@@ -20,24 +20,30 @@ early (`| head`) ends the process quietly with exit 1.
 There is one output path.  A handler returns a _Result: one zero-argument
 maker per format (the json payload, the csv header and rows, the human
 lines), an optional stderr note, which means exit 2, and, for the list
-outputs admissible and census, rows: a function of the format that yields
-one rendered row per triple, a "%" template filled with the triple's plain
-row (the json template is what json.dumps(indent=2) makes of the row's
-dict).  Only the emitter, _emit, reads --format or writes stdout.  It calls
-that format's maker and writes the text in one call; rows follow the csv or
-human text, or fill the json payload's last value, an empty list, in chunks
-of a few thousand rows, one call each, so the census's memory stays flat.
+outputs, rows: a function of the format that yields one rendered row each,
+a "%" template filled with the row's values (the json template is what
+json.dumps(indent=2) makes of the row's dict).  admissible and census
+render every format so; verify-table and oracle their json rows only, and
+their csv and human makers render the rest.  Only the emitter, _emit,
+reads --format or writes stdout.  It calls that format's maker and writes
+the text in one call; rows follow the csv or human text, or fill the json
+payload's last value, an empty list, in chunks of a few thousand rows, one
+call each, so the census's memory stays flat.
 
 json output is json.dumps(payload, indent=2) byte for byte, but it is made
 by the stdlib's C encoder, which json.dumps leaves for a pure-Python one as
-soon as an indent is given.  A container holding no container is encoded
-in one C call whose item separator carries the newline and the indent; a
-list of such dicts (table rows, witness blocks) is encoded whole in one call
-and its joins re-indented; any other container encodes its scalars in one
-call and splices in its nested containers, each encoded at its own depth.
-This is exact because an encoded string never contains a raw newline.  The
-json and csv modules are imported by the first answer in their format, so
-importing this module, or a human answer, loads neither.
+soon as an indent is given, or by "%" templates.  A container holding no
+container is encoded in one C call whose item separator carries the newline
+and the indent; a list of such dicts (the witness's validation checks) is
+encoded whole in one call and its joins re-indented; any other container
+encodes its scalars in one call and splices in its nested containers, each
+encoded at its own depth, with one join.  This is exact because an encoded
+string never contains a raw newline.  A Decomposition, in a payload or an
+oracle row, stands for its to_json() list: each distinct block's text is
+one template fill, multiplied by the block's count, so a witness of
+500,000 blocks costs one copy of its text per step, not a dict per block.
+The json and csv modules are imported by the first answer in their format,
+so importing this module, or a human answer, loads neither.
 
 run() may be called any number of times in one process, and every call acts
 as in a fresh process.  A plain argv is parsed straight from the _COMMANDS
@@ -70,7 +76,9 @@ from .acm import (
     NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows, enumerate_admissible,
     oracle_enumerate, validate_witness, witness,
 )
-from .catalog import TABLE_EXPORT_COLUMNS, _VARIETIES, _checked_rows, table_export_rows
+from .catalog import (
+    TABLE_EXPORT_COLUMNS, _VARIETIES, Decomposition, _checked_rows, table_export_rows,
+)
 from .chow import ChernData, FanoThreefold, InternalError, chi_twist, format_rational, twist
 from .rank2 import NoACMBundle, SplitLineBundles, TwistOf, classify_rank2
 
@@ -91,6 +99,7 @@ def _chern_json(c: ChernData) -> dict:
 
 _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)
+_NESTED = (*_CONTAINERS, Decomposition)  # a Decomposition reads as its block list
 
 
 @functools.cache
@@ -102,12 +111,15 @@ def _encoder(depth: int):
 
 
 def _holds_container(values) -> bool:
-    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+    return any(issubclass(t, _NESTED) for t in set(map(type, values)))
 
 
 def _json_text(obj: object, depth: int = 0) -> str:
     """json.dumps(obj, indent=2), through the C encoder, as it reads nested
-    depth levels deep: every line after the first is indented depth more."""
+    depth levels deep: every line after the first is indented depth more.
+    A Decomposition stands for its to_json() list."""
+    if isinstance(obj, Decomposition):
+        return _blocks_json(obj, depth)
     flat = _encoder(depth + 1)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return flat.encode(obj)
@@ -132,20 +144,41 @@ def _json_text(obj: object, depth: int = 0) -> str:
         return f"[{inner}{{{innermost}{text}{inner}}}{outer}]"
     # Nested containers go in as null, so one C call encodes the rest; as
     # no encoded string holds a raw newline, the separator splits the items.
+    # The brackets join the end items, so the text is made by one join and
+    # a large nested text is held at most twice.
     if is_dict:
         values = list(obj.values())
-        text = flat.encode(
-            {k: None if isinstance(v, _CONTAINERS) else v for k, v in obj.items()}
-        )
+        text = flat.encode({k: None if isinstance(v, _NESTED) else v for k, v in obj.items()})
     else:
         values = obj
-        text = flat.encode([None if isinstance(v, _CONTAINERS) else v for v in obj])
+        text = flat.encode([None if isinstance(v, _NESTED) else v for v in obj])
     sep = "," + inner
     items = text[1:-1].split(sep)
     for i, value in enumerate(values):
-        if isinstance(value, _CONTAINERS):  # items[i] ends in 'null'
+        if isinstance(value, _NESTED):  # items[i] ends in 'null'
             items[i] = items[i][:-4] + _json_text(value, depth + 1)
-    return f"{text[0]}{inner}{sep.join(items)}{outer}{text[-1]}"
+    items[0] = text[0] + inner + items[0]
+    items[-1] += outer + text[-1]
+    return sep.join(items)
+
+
+def _blocks_json(dec: Decomposition, depth: int) -> str:
+    """json.dumps(dec.to_json(), indent=2) as it reads nested depth levels
+    deep.  Each distinct block's text is one "%" fill, multiplied by the
+    block's count, so a run of copies costs one copy per byte."""
+    if not dec.counts:
+        return "[]"
+    inner = "\n" + (depth + 1) * _INDENT
+    # ',' then the block's dict; family names are ASCII identifiers, which
+    # json quotes as they are
+    block = f',{inner}{{{inner}{_INDENT}"family": "%s",{inner}{_INDENT}"twist": %s{inner}}}'
+    (first, k), *rest = dec.counts
+    text = block % (first.family.name, first.twist)
+    return "".join([
+        "[", text[1:], text * (k - 1),
+        *[(block % (b.family.name, b.twist)) * k for b, k in rest],
+        "\n", depth * _INDENT, "]",
+    ])
 
 
 class _Result(namedtuple("_Result", "json csv human note rows", defaults=(None, None))):
@@ -153,7 +186,8 @@ class _Result(namedtuple("_Result", "json csv human note rows", defaults=(None, 
     the payload, csv() the header and rows, human() at least one line.  A
     maker does only its own format's work, so a call pays for one rendering.
     A note is a negative answer, for stderr, and means exit 2.  rows(format),
-    if given, yields rendered rows (see the module docstring)."""
+    if given, yields rendered rows, none for a format whose maker renders
+    them (see the module docstring)."""
 
     __slots__ = ()
 
@@ -225,6 +259,25 @@ _CENSUS_ROW = {
         for _, existence in _EXISTENCE
     ),
 }
+
+# verify-table json rows, numeric (--d given) and symbolic, filled with a
+# row's values, the decomposition json-encoded.  Its other strings, d_set,
+# status and the symbolic DPoly columns, hold only digits, commas, letters,
+# "+" and "-", which json quotes as they are.
+_TABLE_QUOTED = frozenset({"d_set", "status"})
+_TABLE_ROW_JSON = tuple(
+    "    {\n" + ",\n".join(
+        f'      "{column}": ' + ('"%s"' if column in quoted else "%s")
+        for column in TABLE_EXPORT_COLUMNS
+    ) + "\n    }"
+    for quoted in (_TABLE_QUOTED, _TABLE_QUOTED | set(TABLE_EXPORT_COLUMNS[3:7]))
+)
+_ORACLE_ROW_JSON = '    {\n      "blocks": %s,\n      "rendered": %s\n    }'
+
+
+def _json_only(json_rows):
+    """rows for a _Result whose csv and human makers render every row."""
+    return lambda fmt: json_rows() if fmt == "json" else ()
 
 
 def _cmd_chi(X: FanoThreefold, args: SimpleNamespace) -> _Result:
@@ -301,7 +354,7 @@ def _cmd_witness(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     total = report.total
     return _Result(
         lambda: {
-            "d": X.d, "rank": args.rank, "c1": args.c1, "decomposition": dec.to_json(),
+            "d": X.d, "rank": args.rank, "c1": args.c1, "decomposition": dec,
             "rendered": dec.render(), "chern": _chern_json(total),
             "validation": report.to_json(),
         },
@@ -360,18 +413,24 @@ def _cmd_verify_table(X: FanoThreefold | None, args: SimpleNamespace) -> _Result
                 )
         return lines
 
-    return _Result(lambda: {"rows": table_export_rows(X)}, csv_rows, human)
+    def json_rows():
+        template, encode = _TABLE_ROW_JSON[X is None], _encoder(0).encode
+        for row in table_export_rows(X):
+            *head, decomposition, status = row.values()
+            yield template % (*head, encode(decomposition), status)
+
+    return _Result(lambda: {"rows": []}, csv_rows, human, rows=_json_only(json_rows))
 
 
 def _cmd_oracle(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     decs = oracle_enumerate(X, args.rank, args.c1, bound=args.bound)
+
+    def json_rows():
+        encode = _encoder(0).encode
+        return (_ORACLE_ROW_JSON % (_blocks_json(dec, 3), encode(dec.render())) for dec in decs)
+
     return _Result(
-        lambda: {
-            "d": X.d, "rank": args.rank, "c1": args.c1,
-            "decompositions": [
-                {"blocks": dec.to_json(), "rendered": dec.render()} for dec in decs
-            ],
-        },
+        lambda: {"d": X.d, "rank": args.rank, "c1": args.c1, "decompositions": []},
         lambda: (
             ["d", "rank", "c1", "decomposition", "c2", "c3"],
             [[X.d, args.rank, args.c1, dec.render(), c.c2, c.c3]
@@ -379,6 +438,7 @@ def _cmd_oracle(X: FanoThreefold, args: SimpleNamespace) -> _Result:
         ),
         lambda: [f"{X}: rank {args.rank}, c1={args.c1}: {len(decs)} decomposition(s)"]
         + [f"  {dec.render()} = {_chern_str(dec.chern(X))}" for dec in decs],
+        rows=_json_only(json_rows),
     )
 
 

@@ -18,18 +18,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano_acm import (
+    BlockId,
     ChernData,
     Decomposition,
     FanoThreefold,
+    Family,
     InternalError,
     admissible,
     chi_twist,
     format_rational,
     make_triple,
+    oracle_enumerate,
     table1_rows,
     twist,
+    validate_witness,
+    witness,
 )
 from fano_acm import catalog, cli
+from fano_acm.catalog import _linear_in_d
 from fano_acm.cli import _build_parser, _json_text, _UsageError, run
 
 
@@ -337,6 +343,32 @@ def test_witness_at_rank_2500_exits_0_with_all_checks_ok(capsys):
     assert all(line.startswith("  [ok] ") for line in lines[2:])
 
 
+def reference_witness(d, rank, c1):
+    """witness json stdout, rendered the long way: dec.to_json() in the
+    payload and json.dumps(indent=2)."""
+    X = FanoThreefold(d)
+    dec = witness(X, rank, c1)
+    report = validate_witness(X, dec, rank, c1)
+    total = report.total
+    payload = {
+        "d": d, "rank": rank, "c1": c1, "decomposition": dec.to_json(),
+        "rendered": dec.render(),
+        "chern": {"rank": total.rank, "c1": total.c1, "c2": total.c2, "c3": total.c3},
+        "validation": report.to_json(),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_witness_json_matches_reference_renderer(capsys, d):
+    for rank in (3, 4, 5, 7, 8, 13, 20, 57, 118, 601, 2500, 9999, 10**4):
+        lowest = -(-rank // d)
+        for c1 in sorted({lowest, lowest + 1, (lowest + rank) // 2, rank - 1, rank}):
+            argv = ["witness", "--d", str(d), "--rank", str(rank), "--c1", str(c1),
+                    "--format", "json"]
+            assert invoke(capsys, argv) == (0, reference_witness(d, rank, c1), ""), argv
+
+
 @pytest.mark.parametrize("rank", [10**18, 10**50])
 def test_witness_above_rank_bound_exits_1_with_one_line_error(capsys, rank):
     code, out, err = invoke(capsys, ["witness", "--d", "3", "--rank", str(rank),
@@ -397,6 +429,51 @@ def test_verify_table_rebuilds_no_constant_column(capsys, monkeypatch, argv):
     assert expected[0] == 0 and calls == Counter()
 
 
+@pytest.mark.parametrize("d", [None, 3, 4, 5])
+def test_verify_table_json_matches_reference_renderer(capsys, d):
+    X = None if d is None else FanoThreefold(d)
+    expected = json.dumps({"rows": catalog.table_export_rows(X)}, indent=2) + "\n"
+    argv = ["verify-table", "--format", "json"] + ([] if d is None else ["--d", str(d)])
+    assert invoke(capsys, argv) == (0, expected, "")
+
+
+def test_verify_table_reads_off_totals_that_differ_from_the_printed_row(
+    capsys, monkeypatch
+):
+    # c3 of the F_{3,1} row shifted by 2d - 1: its totals at d = 3, 4, 5 no
+    # longer equal the printed values, so its polynomial is read off them
+    target = Decomposition((BlockId(Family.F31),))
+    chern = Decomposition.chern
+
+    def shifted(self, X):
+        c = chern(self, X)
+        return ChernData(c.rank, c.c1, c.c2, c.c3 + 2 * X.d - 1) if self == target else c
+
+    monkeypatch.setattr(Decomposition, "chern", shifted)
+    rows = []
+    for row in table1_rows():
+        totals = [row.decomposition.chern(FanoThreefold(d)) for d in (3, 4, 5)]
+        c2 = _linear_in_d(tuple(t.c2 for t in totals))
+        c3 = _linear_in_d(tuple(t.c3 for t in totals))
+        ok = (c2, c3) == (row.c2_printed, row.c3_printed) and totals[0].c1 == row.c1
+        rows.append({
+            "d_set": ",".join(map(str, sorted(row.d_set))), "rank": row.rank,
+            "c1": row.c1, "c2_printed": str(row.c2_printed),
+            "c3_printed": str(row.c3_printed), "c2_computed": str(c2),
+            "c3_computed": str(c3), "decomposition": row.decomposition.render(),
+            "status": "ok" if ok else "mismatch",
+        })
+    assert (rows[0]["c3_computed"], rows[0]["status"]) == ("2d", "mismatch")
+    assert [row["status"] for row in rows].count("mismatch") == 2  # and the misprint
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
+    assert invoke(capsys, ["verify-table", "--format", "csv"]) == (0, buf.getvalue(), "")
+    expected = json.dumps({"rows": rows}, indent=2) + "\n"
+    assert invoke(capsys, ["verify-table", "--format", "json"]) == (0, expected, "")
+
+
 def test_verify_table_csv_symbolic(capsys):
     code, out, _ = invoke(capsys, ["verify-table", "--format", "csv"])
     assert code == 0
@@ -429,6 +506,33 @@ def test_oracle_json(capsys):
     rendered = [dec["rendered"] for dec in payload["decompositions"]]
     assert "F_{7,2}" in rendered
     assert "F_{3,1} ⊕ F_{4,1}" in rendered
+
+
+def reference_oracle(d, rank, c1, bound):
+    """oracle json stdout, rendered the long way: dec.to_json() per
+    decomposition and json.dumps(indent=2)."""
+    decs = oracle_enumerate(FanoThreefold(d), rank, c1, bound=bound)
+    payload = {
+        "d": d, "rank": rank, "c1": c1,
+        "decompositions": [
+            {"blocks": dec.to_json(), "rendered": dec.render()} for dec in decs
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_oracle_json_matches_reference_renderer(capsys, d):
+    outputs = []
+    for rank in range(15):
+        for c1 in range(rank + 1):
+            argv = ["oracle", "--d", str(d), "--rank", str(rank), "--c1", str(c1),
+                    "--bound", "14", "--format", "json"]
+            code, out, err = invoke(capsys, argv)
+            assert (code, out, err) == (0, reference_oracle(d, rank, c1, 14), ""), argv
+            outputs.append(out)
+    assert '"blocks": []' in outputs[0]  # rank 0: the empty sum
+    assert any('"decompositions": []' in out for out in outputs)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
@@ -619,6 +723,25 @@ _JSON = st.recursive(
 @given(_JSON)
 def test_json_text_equals_indented_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+_DECOMPOSITIONS = st.lists(
+    st.tuples(st.sampled_from(list(Family)), st.integers(-5, 5), st.integers(1, 50)),
+    max_size=6,
+).map(lambda runs: Decomposition(counts=[(BlockId(f, t), k) for f, t, k in runs]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DECOMPOSITIONS, st.integers(min_value=0, max_value=4))
+def test_blocks_json_equals_indented_json_dumps(dec, depth):
+    expected = json.dumps(dec.to_json(), indent=2).replace("\n", "\n" + "  " * depth)
+    assert cli._blocks_json(dec, depth) == expected
+    assert _json_text(dec, depth) == expected
+    payload = {"a": dec, "b": [1, dec], "c": {"d": dec}}
+    plain = {"a": dec.to_json(), "b": [1, dec.to_json()], "c": {"d": dec.to_json()}}
+    assert _json_text(payload, depth) == json.dumps(plain, indent=2).replace(
+        "\n", "\n" + "  " * depth
+    )
 
 
 @pytest.mark.parametrize(
@@ -933,6 +1056,29 @@ print(code, repr(err.getvalue()), cli._build_parser.cache_info().misses)
         "[0, 0, 0, 0, 0, 0, 0, 0] False 0",
         "1 'error: the following arguments are required: --rank, --c1, --c2, --c3\\n' 1",
     ]
+
+
+def test_json_and_csv_load_with_the_first_answer_in_their_format():
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    script = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from fano_acm import cli
+loaded = lambda: [name for name in ("json", "csv") if name in sys.modules]
+seen = [loaded()]
+for fmt in ("human", "csv", "json"):
+    for argv in (["verify-table"], ["verify-table", "--d", "4"],
+                 ["oracle", "--d", "5", "--rank", "7", "--c1", "2"],
+                 ["witness", "--d", "3", "--rank", "8", "--c1", "3"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv + ["--format", fmt]) == 0
+    seen.append(loaded())
+print(seen)
+"""
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[[], [], ['csv'], ['json', 'csv']]\n"
 
 
 def test_verify_table_csv_matches_golden_file(capsys):
