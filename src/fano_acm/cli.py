@@ -18,11 +18,10 @@ list, both with exit 0.  Under main(), a stdout that its reader closes
 early (`| head`) ends the process quietly with exit 1.
 
 There is one output path.  A handler returns a _Result: one zero-argument
-maker per format (the json payload, the csv header and rows, the human
+maker per format (the json text, the csv header and rows, the human
 lines), an optional stderr note, which means exit 2, and, for the list
 outputs, rows: a function of the format that yields one rendered row each,
-a "%" template filled with the row's values (the json template is what
-json.dumps(indent=2) makes of the row's dict).  admissible and census
+a "%" template filled with the row's values.  admissible and census
 render every format so; verify-table and oracle their json rows only, and
 their csv and human makers render the rest.  Only the emitter, _emit,
 reads --format or writes stdout.  It calls that format's maker and writes
@@ -30,20 +29,19 @@ the text in one call; rows follow the csv or human text, or fill the json
 payload's last value, an empty list, in chunks of a few thousand rows, one
 call each, so the census's memory stays flat.
 
-json output is json.dumps(payload, indent=2) byte for byte, but it is made
-by the stdlib's C encoder, which json.dumps leaves for a pure-Python one as
-soon as an indent is given, or by "%" templates.  A container holding no
-container is encoded in one C call whose item separator carries the newline
-and the indent; a list of such dicts (the witness's validation checks) is
-encoded whole in one call and its joins re-indented; any other container
-encodes its scalars in one call and splices in its nested containers, each
-encoded at its own depth, with one join.  This is exact because an encoded
-string never contains a raw newline.  A Decomposition, in a payload or an
-oracle row, stands for its to_json() list: each distinct block's text is
-one template fill, multiplied by the block's count, so a witness of
-500,000 blocks costs one copy of its text per step, not a dict per block.
-The json and csv modules are imported by the first answer in their format,
-so importing this module, or a human answer, loads neither.
+json output is json.dumps(payload, indent=2) byte for byte, without the
+json encoder: every json answer, and every json row, has one fixed "%"
+template, built by _json_template from its keys and depth, and one "%"
+fills it with each value's json text.  An int is its str(), a bool true or
+false, and a str is quoted by encode_basestring_ascii, the C function
+json.dumps quotes with, or, if it can hold only ASCII letters, digits and
+"_+-/,", between plain double quotes, as json quotes it.  A
+Decomposition, in a witness or an oracle row, stands for its to_json()
+list: each distinct block's text is one template fill, multiplied by the
+block's count, so a witness of 500,000 blocks costs one copy of its text
+per step, not a dict per block.  json is imported by the first answer that
+quotes a string, csv by the first csv answer, so importing this module, or
+a human answer, loads neither.
 
 run() may be called any number of times in one process, and every call acts
 as in a fresh process.  A plain argv is parsed straight from the _COMMANDS
@@ -73,7 +71,7 @@ from itertools import chain, islice
 from types import SimpleNamespace
 
 from .acm import (
-    NotAdmissible, ORACLE_DEFAULT_BOUND, _admissible_rows, enumerate_admissible,
+    NotAdmissible, ORACLE_DEFAULT_BOUND, _CHECK_NAMES, _admissible_rows, enumerate_admissible,
     oracle_enumerate, validate_witness, witness,
 )
 from .catalog import (
@@ -93,73 +91,29 @@ def _chern_str(c: ChernData) -> str:
     return f"(rank={c.rank}, c1={c.c1}, c2={c.c2}, c3={c.c3})"
 
 
-def _chern_json(c: ChernData) -> dict:
-    return {"rank": c.rank, "c1": c.c1, "c2": c.c2, "c3": c.c3}
-
-
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
-_NESTED = (*_CONTAINERS, Decomposition)  # a Decomposition reads as its block list
+_JSON_BOOL = ("false", "true")
 
 
 @functools.cache
-def _encoder(depth: int):
-    # made on first use, so that only a json answer imports json; no indent,
-    # so it encodes in C, and the separator does the indenting
-    import json
-    return json.JSONEncoder(separators=(",\n" + depth * _INDENT, ": "))
+def _json_template(keys: tuple[str, ...], depth: int, **texts: str) -> str:
+    """The "%" template of json.dumps(indent=2) of a dict with these keys,
+    as it reads nested depth levels deep.  Each value is "%s", filled with
+    the value's json text, or its entry in texts: a nested template, or a
+    fixed json text with any "%" doubled.  The keys are ASCII identifiers,
+    which json quotes as they are.  Cached, as _blocks_json asks for its
+    block template on every call."""
+    inner = "\n" + (depth + 1) * _INDENT
+    items = [f'{inner}"{key}": {texts.get(key, "%s")}' for key in keys]
+    return "{" + ",".join(items) + "\n" + depth * _INDENT + "}"
 
 
-def _holds_container(values) -> bool:
-    return any(issubclass(t, _NESTED) for t in set(map(type, values)))
-
-
-def _json_text(obj: object, depth: int = 0) -> str:
-    """json.dumps(obj, indent=2), through the C encoder, as it reads nested
-    depth levels deep: every line after the first is indented depth more.
-    A Decomposition stands for its to_json() list."""
-    if isinstance(obj, Decomposition):
-        return _blocks_json(obj, depth)
-    flat = _encoder(depth + 1)
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return flat.encode(obj)
-    outer = "\n" + depth * _INDENT
-    inner = outer + _INDENT
-    is_dict = isinstance(obj, dict)
-    if not _holds_container(obj.values() if is_dict else obj):
-        text = flat.encode(obj)
-        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
-    if (
-        not is_dict
-        and all(issubclass(t, dict) for t in set(map(type, obj)))
-        and all(obj)
-        and not _holds_container(chain.from_iterable(map(dict.values, obj)))
-    ):
-        # Non-empty flat dicts, '[{..},\n    {..}]': only a dict join has a
-        # '}' before the separator, since a flat dict's values are scalars.
-        innermost = inner + _INDENT
-        text = _encoder(depth + 2).encode(obj)[2:-2].replace(
-            "}," + innermost + "{", f"{inner}}},{inner}{{{innermost}"
-        )
-        return f"[{inner}{{{innermost}{text}{inner}}}{outer}]"
-    # Nested containers go in as null, so one C call encodes the rest; as
-    # no encoded string holds a raw newline, the separator splits the items.
-    # The brackets join the end items, so the text is made by one join and
-    # a large nested text is held at most twice.
-    if is_dict:
-        values = list(obj.values())
-        text = flat.encode({k: None if isinstance(v, _NESTED) else v for k, v in obj.items()})
-    else:
-        values = obj
-        text = flat.encode([None if isinstance(v, _NESTED) else v for v in obj])
-    sep = "," + inner
-    items = text[1:-1].split(sep)
-    for i, value in enumerate(values):
-        if isinstance(value, _NESTED):  # items[i] ends in 'null'
-            items[i] = items[i][:-4] + _json_text(value, depth + 1)
-    items[0] = text[0] + inner + items[0]
-    items[-1] += outer + text[-1]
-    return sep.join(items)
+@functools.cache
+def _json_quote():
+    """json's quoting of a str, the C function json.dumps uses; imported on
+    first use, so that only a json answer imports json."""
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii
 
 
 def _blocks_json(dec: Decomposition, depth: int) -> str:
@@ -168,10 +122,11 @@ def _blocks_json(dec: Decomposition, depth: int) -> str:
     block's count, so a run of copies costs one copy per byte."""
     if not dec.counts:
         return "[]"
-    inner = "\n" + (depth + 1) * _INDENT
     # ',' then the block's dict; family names are ASCII identifiers, which
     # json quotes as they are
-    block = f',{inner}{{{inner}{_INDENT}"family": "%s",{inner}{_INDENT}"twist": %s{inner}}}'
+    block = ",\n" + (depth + 1) * _INDENT + _json_template(
+        ("family", "twist"), depth + 1, family='"%s"'
+    )
     (first, k), *rest = dec.counts
     text = block % (first.family.name, first.twist)
     return "".join([
@@ -183,11 +138,11 @@ def _blocks_json(dec: Decomposition, depth: int) -> str:
 
 class _Result(namedtuple("_Result", "json csv human note rows", defaults=(None, None))):
     """A handler's answer, with one maker per output format: json() gives
-    the payload, csv() the header and rows, human() at least one line.  A
-    maker does only its own format's work, so a call pays for one rendering.
-    A note is a negative answer, for stderr, and means exit 2.  rows(format),
-    if given, yields rendered rows, none for a format whose maker renders
-    them (see the module docstring)."""
+    the output text, csv() the header and rows, human() at least one line.
+    A maker does only its own format's work, so a call pays for one
+    rendering.  A note is a negative answer, for stderr, and means exit 2.
+    rows(format), if given, yields rendered rows, none for a format whose
+    maker renders them (see the module docstring)."""
 
     __slots__ = ()
 
@@ -201,7 +156,7 @@ def _emit(result: _Result, args: SimpleNamespace) -> int:
     row, so before anything is written."""
     fmt = args.format
     if fmt == "json":
-        text = _json_text(result.json()) + "\n"
+        text = result.json()
     elif fmt == "csv":
         import csv
         header, rows = result.csv()
@@ -216,7 +171,7 @@ def _emit(result: _Result, args: SimpleNamespace) -> int:
     if result.rows is not None:
         rendered = result.rows(fmt)
         if fmt == "json":  # the text ends '[]\n}\n'; the rows go in the brackets
-            head, sep, tail = text[:-4] + "\n", ",\n", "\n  ]\n}\n"
+            head, sep, tail = text[:-4] + "\n    ", ",\n    ", "\n  ]\n}\n"
         else:
             head, sep, tail = text, "", ""
         # a rendered row is never empty, so an empty chunk means no rows left
@@ -233,24 +188,55 @@ def _emit(result: _Result, args: SimpleNamespace) -> int:
     return 2
 
 
-_TRIPLE_HEADER = ["d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus"]
+# json answers: one template per answer (per verdict class for classify2),
+# each ending in the output's newline.  A list output's template holds an
+# empty list, which _emit fills with the rows; a row's json template reads
+# two levels deep, and _emit indents its first line.
+def _json_answer(keys: tuple[str, ...], **texts: str) -> str:
+    return _json_template(keys, 0, **texts) + "\n"
+
+
+_CHERN_JSON = _json_template(("rank", "c1", "c2", "c3"), 1)
+_CHI_JSON = _json_answer(("d", "chern", "twist", "chi"), chern=_CHERN_JSON)
+_TWIST_JSON = _json_answer(("d", "chern", "t", "result"), chern=_CHERN_JSON, result=_CHERN_JSON)
+_CLASSIFY2_JSON = {
+    verdict: _json_answer(
+        ("d", "c1", "c2", "verdict"), verdict=_json_template(keys, 1, kind='"%s"')
+    )
+    for verdict, keys in ((TwistOf, ("kind", "twist")), (SplitLineBundles, ("kind", "a", "b")),
+                          (NoACMBundle, ("kind",)))
+}
+# the five checks' names are fixed; each check fills its passed and detail
+_CHECKS_JSON = "[" + ",".join(
+    "\n" + 3 * _INDENT
+    + _json_template(("name", "passed", "detail"), 3, name=f'"{name}"')
+    for name in _CHECK_NAMES
+) + "\n" + 2 * _INDENT + "]"
+_WITNESS_JSON = _json_answer(
+    ("d", "rank", "c1", "decomposition", "rendered", "chern", "validation"),
+    chern=_CHERN_JSON, validation=_json_template(("ok", "checks"), 1, checks=_CHECKS_JSON),
+)
+_ADMISSIBLE_JSON = _json_answer(("d", "rank", "relaxed", "triples"), triples="[]")
+_CENSUS_JSON = _json_answer(("d", "max_rank", "relaxed", "triples"), triples="[]")
+_TABLE_JSON = _json_answer(("rows",), rows="[]")
+_ORACLE_JSON = _json_answer(("d", "rank", "c1", "decompositions"), decompositions="[]")
+
+_TRIPLE_HEADER = ("d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus")
 _EXISTENCE = (("False", "unknown"), ("True", "witnessed"))
 
 # Row templates per format for a (d, rank, c1, c2, c3, curve_degree,
 # curve_genus) row; "%.0s" drops a value, and csv and human need no quoting.
 # A census row adds its strict and existence values: (not strict, strict).
-_TRIPLE_JSON = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _TRIPLE_HEADER)
 _TRIPLE_CSV = ",".join(["%s"] * len(_TRIPLE_HEADER))
 _TRIPLE_ROW = {
-    "json": _TRIPLE_JSON + "\n    }",
+    "json": _json_template(_TRIPLE_HEADER, 2),
     "csv": _TRIPLE_CSV + "\n",
     "human": "%.0s%.0s  c1=%s: c2=%s, c3=%s, curve degree %s, genus %s\n",
 }
-_CENSUS_HEADER = _TRIPLE_HEADER + ["strict", "existence"]
+_CENSUS_HEADER = _TRIPLE_HEADER + ("strict", "existence")
 _CENSUS_ROW = {
     "json": tuple(
-        f'{_TRIPLE_JSON},\n      "strict": {strict.lower()},\n'
-        f'      "existence": "{existence}"\n    }}'
+        _json_template(_CENSUS_HEADER, 2, strict=strict.lower(), existence=f'"{existence}"')
         for strict, existence in _EXISTENCE
     ),
     "csv": tuple(f"{_TRIPLE_CSV},{strict},{existence}\n" for strict, existence in _EXISTENCE),
@@ -261,18 +247,15 @@ _CENSUS_ROW = {
 }
 
 # verify-table json rows, numeric (--d given) and symbolic, filled with a
-# row's values, the decomposition json-encoded.  Its other strings, d_set,
+# row's values, the decomposition quoted by json.  Its other strings, d_set,
 # status and the symbolic DPoly columns, hold only digits, commas, letters,
 # "+" and "-", which json quotes as they are.
-_TABLE_QUOTED = frozenset({"d_set", "status"})
+_TABLE_QUOTED = ("d_set", "status")
 _TABLE_ROW_JSON = tuple(
-    "    {\n" + ",\n".join(
-        f'      "{column}": ' + ('"%s"' if column in quoted else "%s")
-        for column in TABLE_EXPORT_COLUMNS
-    ) + "\n    }"
-    for quoted in (_TABLE_QUOTED, _TABLE_QUOTED | set(TABLE_EXPORT_COLUMNS[3:7]))
+    _json_template(TABLE_EXPORT_COLUMNS, 2, **dict.fromkeys(quoted, '"%s"'))
+    for quoted in (_TABLE_QUOTED, _TABLE_QUOTED + TABLE_EXPORT_COLUMNS[3:7])
 )
-_ORACLE_ROW_JSON = '    {\n      "blocks": %s,\n      "rendered": %s\n    }'
+_ORACLE_ROW_JSON = _json_template(("blocks", "rendered"), 2)
 
 
 def _json_only(json_rows):
@@ -283,11 +266,12 @@ def _json_only(json_rows):
 def _cmd_chi(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     c = ChernData(args.rank, args.c1, args.c2, args.c3)
     value = chi_twist(c, X, args.twist)
+    # a non-integral chi is the string "p/q", which json quotes as it is
     return _Result(
-        lambda: {
-            "d": X.d, "chern": _chern_json(c), "twist": args.twist,
-            "chi": value.numerator if value.denominator == 1 else format_rational(value),
-        },
+        lambda: _CHI_JSON % (
+            X.d, *c.tuple(), args.twist,
+            value.numerator if value.denominator == 1 else f'"{format_rational(value)}"',
+        ),
         lambda: (
             ["d", "rank", "c1", "c2", "c3", "twist", "chi"],
             [[X.d, c.rank, c.c1, c.c2, c.c3, args.twist, format_rational(value)]],
@@ -301,7 +285,7 @@ def _cmd_twist(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     c = ChernData(args.rank, args.c1, args.c2, args.c3)
     out = twist(c, X, args.t)
     return _Result(
-        lambda: {"d": X.d, "chern": _chern_json(c), "t": args.t, "result": _chern_json(out)},
+        lambda: _TWIST_JSON % (X.d, *c.tuple(), args.t, *out.tuple()),
         lambda: (
             ["d", "rank", "c1", "c2", "c3", "t", "rank_out", "c1_out", "c2_out", "c3_out"],
             [[X.d, c.rank, c.c1, c.c2, c.c3, args.t, out.rank, out.c1, out.c2, out.c3]],
@@ -333,15 +317,20 @@ def _cmd_classify2(X: FanoThreefold, args: SimpleNamespace) -> _Result:
 
     note = (f"no rank-2 model on {X} has c1={args.c1}, c2={args.c2}"
             if isinstance(verdict, NoACMBundle) else None)
-    return _Result(lambda: {"d": X.d, "c1": args.c1, "c2": args.c2,
-                            "verdict": verdict.to_json()}, csv_rows, human, note)
+    # a verdict's kind is an ASCII identifier, which json quotes as it is
+    return _Result(
+        lambda: _CLASSIFY2_JSON[type(verdict)] % (
+            X.d, args.c1, args.c2, *verdict.to_json().values()
+        ),
+        csv_rows, human, note,
+    )
 
 
 def _cmd_admissible(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     triples = enumerate_admissible(X, args.rank, relaxed=args.relaxed)
     mode = "relaxed" if args.relaxed else "strict"
     return _Result(
-        lambda: {"d": X.d, "rank": args.rank, "relaxed": args.relaxed, "triples": []},
+        lambda: _ADMISSIBLE_JSON % (X.d, args.rank, _JSON_BOOL[args.relaxed]),
         lambda: (_TRIPLE_HEADER, ()),
         lambda: [f"{X}: rank {args.rank}, {mode} admissible c1 values: {len(triples)}"],
         rows=lambda fmt: map(_TRIPLE_ROW[fmt].__mod__, triples),
@@ -352,12 +341,19 @@ def _cmd_witness(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     dec = witness(X, args.rank, args.c1)  # NotAdmissible -> exit 2 in run()
     report = validate_witness(X, dec, args.rank, args.c1)
     total = report.total
+
+    def json():
+        quote = _json_quote()
+        return _WITNESS_JSON % (
+            X.d, args.rank, args.c1, _blocks_json(dec, 1), quote(dec.render()),
+            *total.tuple(), _JSON_BOOL[report.ok],
+            *chain.from_iterable(
+                (_JSON_BOOL[check.passed], quote(check.detail)) for check in report.checks
+            ),
+        )
+
     return _Result(
-        lambda: {
-            "d": X.d, "rank": args.rank, "c1": args.c1, "decomposition": dec,
-            "rendered": dec.render(), "chern": _chern_json(total),
-            "validation": report.to_json(),
-        },
+        json,
         lambda: (
             ["d", "rank", "c1", "decomposition", "c2", "c3", "valid"],
             [[X.d, args.rank, args.c1, dec.render(), total.c2, total.c3, report.ok]],
@@ -380,7 +376,7 @@ def _cmd_census(X: FanoThreefold, args: SimpleNamespace) -> _Result:
         return (templates[d * row[2] >= row[1]] % row for row in rows)
 
     return _Result(
-        lambda: {"d": d, "max_rank": args.max_rank, "relaxed": args.relaxed, "triples": []},
+        lambda: _CENSUS_JSON % (d, args.max_rank, _JSON_BOOL[args.relaxed]),
         lambda: (_CENSUS_HEADER, ()),
         lambda: [f"{X}: admissible triples for 3 <= rank <= {args.max_rank}"],
         rows=rendered,
@@ -414,23 +410,23 @@ def _cmd_verify_table(X: FanoThreefold | None, args: SimpleNamespace) -> _Result
         return lines
 
     def json_rows():
-        template, encode = _TABLE_ROW_JSON[X is None], _encoder(0).encode
+        template, quote = _TABLE_ROW_JSON[X is None], _json_quote()
         for row in table_export_rows(X):
             *head, decomposition, status = row.values()
-            yield template % (*head, encode(decomposition), status)
+            yield template % (*head, quote(decomposition), status)
 
-    return _Result(lambda: {"rows": []}, csv_rows, human, rows=_json_only(json_rows))
+    return _Result(lambda: _TABLE_JSON, csv_rows, human, rows=_json_only(json_rows))
 
 
 def _cmd_oracle(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     decs = oracle_enumerate(X, args.rank, args.c1, bound=args.bound)
 
     def json_rows():
-        encode = _encoder(0).encode
-        return (_ORACLE_ROW_JSON % (_blocks_json(dec, 3), encode(dec.render())) for dec in decs)
+        quote = _json_quote()
+        return (_ORACLE_ROW_JSON % (_blocks_json(dec, 3), quote(dec.render())) for dec in decs)
 
     return _Result(
-        lambda: {"d": X.d, "rank": args.rank, "c1": args.c1, "decompositions": []},
+        lambda: _ORACLE_JSON % (X.d, args.rank, args.c1),
         lambda: (
             ["d", "rank", "c1", "decomposition", "c2", "c3"],
             [[X.d, args.rank, args.c1, dec.render(), c.c2, c.c3]

@@ -12,9 +12,10 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fano_acm import (
@@ -36,7 +37,8 @@ from fano_acm import (
 )
 from fano_acm import catalog, cli
 from fano_acm.catalog import _linear_in_d
-from fano_acm.cli import _build_parser, _json_text, _UsageError, run
+from fano_acm.cli import _build_parser, _UsageError, run
+from fano_acm.rank2 import SplitLineBundles, TwistOf, classify_rank2
 
 
 def invoke(capsys, argv):
@@ -246,6 +248,22 @@ def test_admissible_matches_reference_renderer(capsys, d, rank):
             assert out == reference_admissible(d, rank, relaxed, fmt)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5]),
+    st.integers(min_value=3, max_value=300),
+    st.booleans(),
+    st.sampled_from(["human", "json", "csv"]),
+)
+def test_admissible_matches_reference_renderer_anywhere(d, rank, relaxed, fmt):
+    argv = ["admissible", "--d", str(d), "--rank", str(rank), "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + ["--relaxed"] * relaxed)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == reference_admissible(d, rank, relaxed, fmt)
+
+
 class _CountingSink:
     """A stdout that keeps only the number of characters written to it."""
 
@@ -367,6 +385,36 @@ def test_witness_json_matches_reference_renderer(capsys, d):
             argv = ["witness", "--d", str(d), "--rank", str(rank), "--c1", str(c1),
                     "--format", "json"]
             assert invoke(capsys, argv) == (0, reference_witness(d, rank, c1), ""), argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_witness_json_matches_reference_renderer_anywhere(data):
+    d = data.draw(st.sampled_from([3, 4, 5]), label="d")
+    rank = data.draw(st.integers(3, 5000), label="rank")
+    c1 = data.draw(st.integers(-(-rank // d), rank), label="c1")
+    argv = ["witness", "--d", str(d), "--rank", str(rank), "--c1", str(c1), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue() == reference_witness(d, rank, c1)
+
+
+def test_witness_json_renders_failed_checks(capsys, monkeypatch):
+    # O_V and F_{7,2}, which V_3 lacks: the availability and trivial
+    # summand checks fail, and json writes false with their details
+    X, dec = FanoThreefold(3), Decomposition((BlockId(Family.OV), BlockId(Family.F72)))
+    monkeypatch.setattr(cli, "witness", lambda X, rank, c1: dec)
+    report = validate_witness(X, dec, 8, 2)
+    assert not report.verdicts[0] and not report.verdicts[4]
+    total = report.total
+    payload = {
+        "d": 3, "rank": 8, "c1": 2, "decomposition": dec.to_json(), "rendered": dec.render(),
+        "chern": {"rank": total.rank, "c1": total.c1, "c2": total.c2, "c3": total.c3},
+        "validation": report.to_json(),
+    }
+    argv = ["witness", "--d", "3", "--rank", "8", "--c1", "2", "--format", "json"]
+    assert invoke(capsys, argv) == (0, json.dumps(payload, indent=2) + "\n", "")
 
 
 @pytest.mark.parametrize("rank", [10**18, 10**50])
@@ -695,36 +743,6 @@ def test_run_restores_the_int_str_digit_limit_when_it_raises(monkeypatch):
 
 # --- json encoding ----------------------------------------------------------------------
 
-_STRINGS = st.lists(
-    st.sampled_from(["a", "Z", "0", " ", "\n", "\t", '"', "\\", "{", "}", "[", "]",
-                     ",", ":", "},", ",\n  ", "⊕", "é", "\u0000", "\U0001f600"]),
-    max_size=6,
-).map("".join) | st.text(max_size=4)
-_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-3, max_value=3)
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.floats()
-    | _STRINGS
-)
-_KEYS = _STRINGS | st.integers(min_value=-5, max_value=10**20) | st.booleans() | st.none()
-_FLAT_DICTS = st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=5), max_size=5)
-_JSON = st.recursive(
-    _SCALARS | _FLAT_DICTS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(_KEYS, inner, max_size=4)
-    | st.tuples(inner, inner),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_JSON)
-def test_json_text_equals_indented_json_dumps(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2)
-
-
 _DECOMPOSITIONS = st.lists(
     st.tuples(st.sampled_from(list(Family)), st.integers(-5, 5), st.integers(1, 50)),
     max_size=6,
@@ -736,25 +754,151 @@ _DECOMPOSITIONS = st.lists(
 def test_blocks_json_equals_indented_json_dumps(dec, depth):
     expected = json.dumps(dec.to_json(), indent=2).replace("\n", "\n" + "  " * depth)
     assert cli._blocks_json(dec, depth) == expected
-    assert _json_text(dec, depth) == expected
-    payload = {"a": dec, "b": [1, dec], "c": {"d": dec}}
-    plain = {"a": dec.to_json(), "b": [1, dec.to_json()], "c": {"d": dec.to_json()}}
-    assert _json_text(payload, depth) == json.dumps(plain, indent=2).replace(
-        "\n", "\n" + "  " * depth
+
+
+_SCALARS = st.integers() | st.booleans() | st.none() | st.text(max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True), min_size=1, max_size=6,
+             unique=True),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+    st.data(),
+)
+def test_json_template_filled_is_indented_json_dumps(keys, depth, fixed, data):
+    values = [data.draw(_SCALARS) for _ in keys]
+    texts = [json.dumps(v) for v in values]
+    if fixed:  # the first value is fixed text in the template, its "%" doubled
+        fixed_text = texts.pop(0).replace("%", "%%")
+        template = cli._json_template(tuple(keys), depth, **{keys[0]: fixed_text})
+    else:
+        template = cli._json_template(tuple(keys), depth)
+    expected = json.dumps(dict(zip(keys, values)), indent=2).replace("\n", "\n" + "  " * depth)
+    assert template % tuple(texts) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text())
+def test_json_quote_is_json_dumps_of_a_str(text):
+    assert cli._json_quote()(text) == json.dumps(text)
+
+
+# Each json answer below is a "%" template fill; its reference is
+# json.dumps(indent=2) of the payload dict the handler would build.
+
+def _chern_payload(c: ChernData) -> dict:
+    return {"rank": c.rank, "c1": c.c1, "c2": c.c2, "c3": c.c3}
+
+
+def _json_answer_is_dumps_of(argv: list[str], payload, code: int = 0) -> None:
+    """run(argv) in json prints json.dumps(payload(), indent=2)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv + ["--format", "json"]) == code
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the payload's ints may be longer than 4300 digits
+    try:
+        expected = json.dumps(payload(), indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.getvalue() == expected
+
+
+_D = st.sampled_from([3, 4, 5])
+# a rank of 3 or more admits any c1, c2, c3
+_RANK_3_UP = st.integers(3, 20) | _ANY_INT.filter(lambda n: n >= 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_D, _RANK_3_UP, _ANY_INT, _ANY_INT, _ANY_INT, _ANY_INT)
+@example(3, 3, 0, 0, 1, 0)  # chi = 7/2
+def test_chi_json_is_json_dumps_of_its_payload(d, rank, c1, c2, c3, tw):
+    c = ChernData(rank, c1, c2, c3)
+    value = chi_twist(c, FanoThreefold(d), tw)
+    _json_answer_is_dumps_of(
+        ["chi", "--d", str(d), "--rank", str(rank), "--c1", str(c1), "--c2", str(c2),
+         "--c3", str(c3), "--twist", str(tw)],
+        lambda: {"d": d, "chern": _chern_payload(c), "twist": tw,
+                 "chi": value.numerator if value.denominator == 1 else format_rational(value)},
     )
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {}, [], {"a": {}}, [[]], [{}], [{}, {"a": 1}], [{"a": 1}, {}],
-        {"triples": [{"a": "x},\n    {", "b": True}, {"a": 10**30, "b": 1}]},
-        [{"a": [1]}, {"b": 2}], [{"a": 1}, 2], [1, True, None, 1.5, "⊕"],
-        {"d": 3, "rows": [{"k": "},"}, {"k": "{"}], "x": {"y": [1, {"z": None}]}},
-    ],
-)
-def test_json_text_edge_cases(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2)
+@settings(max_examples=60, deadline=None)
+@given(_D, _RANK_3_UP, _ANY_INT, _ANY_INT, _ANY_INT, _ANY_INT)
+def test_twist_json_is_json_dumps_of_its_payload(d, rank, c1, c2, c3, t):
+    c = ChernData(rank, c1, c2, c3)
+    _json_answer_is_dumps_of(
+        ["twist", "--d", str(d), "--rank", str(rank), "--c1", str(c1), "--c2", str(c2),
+         "--c3", str(c3), "--t", str(t)],
+        lambda: {"d": d, "chern": _chern_payload(c), "t": t,
+                 "result": _chern_payload(twist(c, FanoThreefold(d), t))},
+    )
+
+
+_TWISTS = st.integers(-20, 20) | st.integers(-(10**1400), 10**1400)
+
+
+@st.composite
+def _rank2_queries(draw):
+    """(d, kind, c): on V_d, the Chern data of a model of that verdict
+    kind, or rank-2 data with any (c1, c2) for kind "none"."""
+    d = draw(_D)
+    kind = draw(st.sampled_from(["TwistOfSL", "TwistOfSC", "TwistOfSE", "split", "none"]))
+    if kind == "split":
+        a, b = sorted((draw(_TWISTS), draw(_TWISTS)), reverse=True)
+        return d, kind, SplitLineBundles(a, b).chern(FanoThreefold(d))
+    if kind == "none":
+        return d, kind, ChernData(2, draw(_ANY_INT), draw(_ANY_INT), 0)
+    return d, kind, TwistOf(Family[kind[7:]], draw(_TWISTS)).chern(FanoThreefold(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rank2_queries())
+def test_classify2_json_is_json_dumps_of_its_payload(query):
+    d, kind, c = query
+    verdict = classify_rank2(FanoThreefold(d), c.c1, c.c2)
+    assume(kind != "none" or verdict.kind == "none")
+    assert verdict.kind == kind
+    _json_answer_is_dumps_of(
+        ["classify2", "--d", str(d), "--c1", str(c.c1), "--c2", str(c.c2)],
+        lambda: {"d": d, "c1": c.c1, "c2": c.c2, "verdict": verdict.to_json()},
+        code=2 if kind == "none" else 0,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_D, st.integers(3, 200), st.booleans())
+def test_admissible_json_head_is_json_dumps_of_its_payload(d, rank, relaxed):
+    args = SimpleNamespace(rank=rank, relaxed=relaxed)
+    head = {"d": d, "rank": rank, "relaxed": relaxed, "triples": []}
+    assert cli._cmd_admissible(FanoThreefold(d), args).json() == (
+        json.dumps(head, indent=2) + "\n"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_D, st.integers(-20, 2) | _ANY_INT.filter(lambda n: n <= 2), st.booleans())
+def test_empty_census_json_is_json_dumps_of_its_payload(d, max_rank, relaxed):
+    argv = ["census", "--d", str(d), "--max-rank", str(max_rank)]
+    _json_answer_is_dumps_of(
+        argv + ["--relaxed"] * relaxed,
+        lambda: {"d": d, "max_rank": max_rank, "relaxed": relaxed, "triples": []},
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_D, st.integers(0, 12), st.integers(-3, 13) | _ANY_INT)
+def test_oracle_json_is_json_dumps_of_its_payload(d, rank, c1):
+    # most draws find nothing, so the answer is the head alone
+    decs = oracle_enumerate(FanoThreefold(d), rank, c1)
+    _json_answer_is_dumps_of(
+        ["oracle", "--d", str(d), "--rank", str(rank), "--c1", str(c1)],
+        lambda: {"d": d, "rank": rank, "c1": c1, "decompositions": [
+            {"blocks": dec.to_json(), "rendered": dec.render()} for dec in decs
+        ]},
+    )
 
 
 # --- determinism -------------------------------------------------------------------------
@@ -1067,7 +1211,11 @@ from fano_acm import cli
 loaded = lambda: [name for name in ("json", "csv") if name in sys.modules]
 seen = [loaded()]
 for fmt in ("human", "csv", "json"):
-    for argv in (["verify-table"], ["verify-table", "--d", "4"],
+    for argv in (["chi", "--d", "3", "--rank", "3", "--c1", "0", "--c2", "0", "--c3", "1"],
+                 ["twist", "--d", "4", "--rank", "2", "--c1", "1", "--c2", "2", "--c3", "0",
+                  "--t", "-3"],
+                 ["classify2", "--d", "5", "--c1", "2", "--c2", "7"],
+                 ["verify-table"], ["verify-table", "--d", "4"],
                  ["oracle", "--d", "5", "--rank", "7", "--c1", "2"],
                  ["witness", "--d", "3", "--rank", "8", "--c1", "3"]):
         with contextlib.redirect_stdout(io.StringIO()):

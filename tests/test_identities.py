@@ -324,7 +324,7 @@ def test_twist_is_cubic_in_the_rank():
     assert all(sp.degree(Exact._of(e), s_a.e) <= 3 for e in twisted.tuple())
 
 
-# --- Riemann-Roch: additivity, Serre duality, the defining vanishing ---------------
+# --- Riemann-Roch: Hirzebruch, additivity, Serre duality, the defining vanishing --
 
 @pytest.fixture
 def exact_chi(monkeypatch):
@@ -333,6 +333,50 @@ def exact_chi(monkeypatch):
     monkeypatch.setattr(
         "fano_acm.chow.Fraction", lambda n, m: Exact(sp.Rational(1, m) * Exact._of(n))
     )
+
+
+def _ring_sum(*xs):
+    return tuple(sum(parts) for parts in zip(*xs))
+
+
+def _ring_scale(q, x):
+    return tuple(q * e for e in x)
+
+
+def test_td3_of_v_d_is_1_exactly_when_c2_of_the_tangent_bundle_is_12_l():
+    # V_d has index 2, so c1(T) = 2H; with c2(T) = g L, chi(O) = td_3 =
+    # c1(T) c2(T) / 24 = 1 forces g = 12
+    g = sp.Symbol("g")
+    td3 = Exact._of(_ring_product((0, 2, 0, 0), (0, 0, g, 0))[3]) / 24
+    assert sp.solve(td3 - 1, g) == [12]
+
+
+def test_euler_char_is_hirzebruch_riemann_roch(exact_chi):
+    # chi(F) = deg (ch(F) td(V_d))_3 in the ring of _ring_product, P of
+    # degree 1, for symbolic d, r, c1, c2 = p0 and c3 = q0; euler_char
+    # reads only the four classes, so F need not pass ChernData's checks
+    half, sixth, twelfth = sp.Rational(1, 2), sp.Rational(1, 6), sp.Rational(1, 12)
+    cT1, cT2 = (0, 2, 0, 0), (0, 0, 12, 0)
+    td = _ring_sum(
+        (1, 0, 0, 0),
+        _ring_scale(half, cT1),
+        _ring_scale(twelfth, _ring_sum(_ring_product(cT1, cT1), cT2)),
+        _ring_scale(sp.Rational(1, 24), _ring_product(cT1, cT2)),
+    )
+    f1, f2, f3 = (0, c1, 0, 0), (0, 0, p0, 0), (0, 0, 0, q0)
+    f1_2 = _ring_product(f1, f1)
+    ch = _ring_sum(
+        (r, 0, 0, 0),
+        f1,
+        _ring_scale(half, _ring_sum(f1_2, _ring_scale(-2, f2))),
+        _ring_scale(sixth, _ring_sum(
+            _ring_product(f1_2, f1), _ring_scale(-3, _ring_product(f1, f2)),
+            _ring_scale(3, f3),
+        )),
+    )
+    F = SimpleNamespace(rank=r, c1=c1, c2=p0, c3=q0)
+    assert td == (1, 1, (d + 3) * sp.Rational(1, 3), 1)
+    assert euler_char(F, X) == _ring_product(ch, td)[3]
 
 
 def test_chi_is_additive_over_whitney_sums(exact_chi):
