@@ -11,51 +11,19 @@ and then its remaining Chern classes are forced:
     c2 = d c1^2/2 + r - d c1/2
     c3 = -2 c1 + c1 r - d c1^2/2 + d c1^3/6 + d c1/3.
 
-witness() realizes every strictly admissible (r, c1) as an explicit direct
-sum of catalog blocks: by census-table lookup for r <= 7, and for r >= 8 by
-peeling off S_E(1) (when c1 = r), S_C(1) (when c1 >= (r-2)/d + 1) or the
-rank-d block with c1 = 1 (otherwise) down to a census row.  The peeling
-always runs as some S_C(1) steps followed by S_E(1) steps or rank-d steps,
-so the three step counts are computed in closed form, and the returned
-Decomposition stores only its block counts.  witness() adds the three
-runs to the census row's counts along the row's seed plan, made at
-import: the row's blocks and the three peeled blocks in canonical order,
-each with its count in the row and the run that adds to it.  So the merge
-compares no keys, the Decomposition keeps the counts without a sort, and
-its Whitney total is one pass over them, reading each block's entry in
-catalog's per-degree block table: building and validating a witness
-costs the same handful of integer operations at any rank.  Its
-``blocks`` tuple, render() and to_json() list every summand, and the
-command line prints them, so witness() refuses ranks above
-WITNESS_MAX_RANK with BoundExceeded (exit 1 on the command line).
-validate_witness() records the facts its five checks read (the Whitney
-total, the forced (c2, c3), the unavailable families and the number of
-trivial summands, the last two read from the same block table entries in
-one pass over the counts) and decides the five verdicts from them.  Its
-ValidationReport is those facts plus ``checks``, which builds the Check
-records and their detail strings only when it is read, so a validation
-costs its Whitney total plus a few integer comparisons.
-oracle_enumerate() independently brute-forces all such sums; every sum it
-finds carries the forced classes.  It refuses ranks above ORACLE_MAX_RANK,
-whatever bound it is given, with BoundExceeded.
-
 The relaxed admissibility mode widens the lower bound to (r-1)/d <= c1
 (dropping the section-count hypothesis); no witness is attempted there, and
 existence is reported as unknown.
 
-Admissible triples come from one row generator, _admissible_rows(), which
-yields plain (d, rank, c1, c2, c3, curve_degree, curve_genus) tuples over a
-range of ranks.  enumerate_admissible() wraps them in AdmissibleTriple; the
-census command renders them directly.  The generator counts its rows in
-closed form before it builds the first one, and refuses more than
-ENUMERATE_MAX_TRIPLES with BoundExceeded (exit 1 on the command line).  At
-fixed c1, c2, c3 and the genus are linear in r, so the generator evaluates
-the forced classes once per c1, at rank 2, and each row is a few integer
-additions (tests/test_identities.py proves the three splits).
-
-AdmissibleTriple, Check and ValidationReport are collections.namedtuple
-subclasses with ``__slots__ = ()``; see catalog for the three slotted
-records, ChernData, BlockId and Decomposition.
+witness() realizes every strictly admissible (r, c1) as an explicit direct
+sum of catalog blocks, in constant time at any rank, and refuses ranks
+above WITNESS_MAX_RANK.  validate_witness() decides five checks on the
+exact Whitney total.  oracle_enumerate() independently brute-forces all
+such sums, each of which carries the forced classes, and refuses ranks
+above ORACLE_MAX_RANK or its bound.  enumerate_admissible() and the
+census refuse more than ENUMERATE_MAX_TRIPLES triples, counted before the
+first is built.  Each refusal is a BoundExceeded, exit 1 on the command
+line.  The README describes how witnesses are built.
 """
 
 from __future__ import annotations
@@ -64,26 +32,10 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .catalog import (
-    BlockId,
-    Decomposition,
-    Family,
-    _F31,
-    _F41,
-    _F51,
-    _SC1,
-    _SE1,
-    _block_rank_c1,
-    _unavailable_and_trivial,
-    block_available,
-    table1_rows,
+    BlockId, Decomposition, Family, _F31, _F41, _F51, _SC1, _SE1, _block_rank_c1,
+    _unavailable_and_trivial, block_available, table1_rows,
 )
-from .chow import (
-    ChernData,
-    FanoThreefold,
-    curve_invariants,
-    forced_c2,
-    forced_c3,
-)
+from .chow import ChernData, FanoThreefold, curve_invariants, forced_c2, forced_c3
 
 __all__ = [
     "InvalidRank",
@@ -140,12 +92,18 @@ def _check_rank(rank: int) -> None:
         raise InvalidRank(f"rank must be >= 3, got {rank}")
 
 
+def _lowest_c1(d: int, rank: int, relaxed: bool) -> int:
+    """ceil(lower / d), the least admissible c1 at a rank >= 3, lower being
+    r, or r-1 when relaxed: the one derivation of the admissible range."""
+    lower = rank - 1 if relaxed else rank
+    return -(-lower // d)
+
+
 def admissible(X: FanoThreefold, rank: int, c1: int, relaxed: bool = False) -> bool:
     """Whether (d, r, c1) is admissible: r/d <= c1 <= r, or with the relaxed
-    lower bound (r-1)/d <= c1.  Comparisons are exact (cross-multiplied)."""
+    lower bound (r-1)/d <= c1.  Exact integer comparisons."""
     _check_rank(rank)
-    lower = rank - 1 if relaxed else rank
-    return lower <= X.d * c1 and c1 <= rank
+    return _lowest_c1(X.d, rank, relaxed) <= c1 <= rank
 
 
 def make_triple(X: FanoThreefold, rank: int, c1: int) -> AdmissibleTriple:
@@ -164,11 +122,9 @@ def make_triple(X: FanoThreefold, rank: int, c1: int) -> AdmissibleTriple:
 
 
 # Most admissible triples one enumeration builds: enumerate_admissible() at
-# one rank, or the census over 3 <= r <= max-rank.  The census of V_5 up to
-# rank 2000, relaxed, has 1,602,396 rows and stays inside the bound.  The
-# census streams its rows, so the bound limits its run time (a few seconds
-# at the bound), not its memory; enumerate_admissible() returns a list, at
-# most this long.
+# one rank, or the census over 3 <= r <= max-rank (the relaxed census of V_5
+# up to rank 2000 has 1,602,396).  It bounds the census's run time, as the
+# census streams its rows, and the length of enumerate_admissible()'s list.
 ENUMERATE_MAX_TRIPLES = 2 * 10**6
 
 
@@ -182,15 +138,9 @@ def _ceil_sum(n: int, d: int) -> int:
 
 def _admissible_count(d: int, max_rank: int, relaxed: bool) -> int:
     """Number of admissible (r, c1) with 1 <= r <= max_rank: rank r has
-    r + 1 - ceil(lower/d) of them, lower being r, or r-1 when relaxed."""
+    r + 1 - _lowest_c1(d, r, relaxed) of them, summed in closed form."""
     n = max(max_rank, 0)
     return n * (n + 3) // 2 - _ceil_sum(n - relaxed, d)
-
-
-def _lowest_c1(d: int, rank: int, relaxed: bool) -> int:
-    """ceil(lower / d), the least admissible c1 at a rank >= 3."""
-    lower = rank - 1 if relaxed else rank
-    return -(-lower // d)
 
 
 def _admissible_rows(
@@ -288,12 +238,11 @@ def _peel_counts(d: int, rank: int, c1: int) -> tuple[int, int, int]:
     return sc, 0, -(-(rank - 7) // d)
 
 
-# Largest rank witness() answers.  Building and validating a witness work
-# from its block counts and cost the same at any rank; this bound guards
-# its expansion: blocks, render() and to_json() list up to r/2 summands,
-# and the command line prints them.  At this bound the json witness takes
-# about 1.6 s and 155 MB peak RSS; far above it the expansion would fail
-# with MemoryError (rank 10^18) or OverflowError (rank 10^50).
+# Largest rank witness() answers.  It bounds the expansion that blocks,
+# render() and to_json() make, up to r/2 summands, which the command line
+# prints: the json witness at the bound takes about 0.2 s and 95 MB peak
+# RSS (Python 3.11, 2-vCPU VM).  Far above it the expansion fails with
+# MemoryError (rank 10^18) or OverflowError (rank 10^50).
 WITNESS_MAX_RANK = 10**6
 
 
@@ -302,7 +251,7 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
     at (d, r, c1).  Raises NotAdmissible outside the strict range, and
     BoundExceeded for an admissible rank above WITNESS_MAX_RANK."""
     if not admissible(X, rank, c1):
-        if X.d * c1 < rank:
+        if c1 <= rank:
             reason = f"r/d ≤ c1 fails ({rank}/{X.d} > {c1})"
         else:
             reason = f"c1 ≤ r fails ({c1} > {rank})"
@@ -342,15 +291,11 @@ class ValidationReport(
         "ValidationReport", "X rank c1 total forced unavailable trivial verdicts"
     )
 ):
-    """The facts the five witness checks read, with their verdicts.
-
-    Fields: the variety X, the target rank and c1, the Whitney total of
-    the decomposition (kept for callers that print it; not part of the
-    json form), the forced (c2, c3) at the target, the sorted names of
-    the families not available on X, the number of trivial (O_V)
-    summands, and the five verdicts, in the order of ``checks``.  The
-    Check records, with their detail strings, are built from these facts
-    each time ``checks`` is read."""
+    """The facts the five witness checks read: the variety, the target rank
+    and c1, the Whitney total (not in the json form), the forced (c2, c3),
+    the sorted names of the families not available on X, the number of
+    O_V summands, and the five verdicts in the order of ``checks``, whose
+    Check records are built on each read."""
 
     __slots__ = ()
 
@@ -405,14 +350,7 @@ ORACLE_MAX_RANK = 60
 # identities at its own (rank, c1).  O_V is excluded (trivial summands are
 # forbidden) and so is S_L, whose c2 = 1 differs from the forced value 2 at
 # (r, c1) = (2, 0); no witness ever uses it.
-_ORACLE_FAMILIES = (
-    Family.F31,
-    Family.F32,
-    Family.F33,
-    Family.F41,
-    Family.F51,
-    Family.F72,
-)
+_ORACLE_FAMILIES = (Family.F31, Family.F32, Family.F33, Family.F41, Family.F51, Family.F72)
 
 
 def _oracle_blocks(X: FanoThreefold) -> list[BlockId]:
@@ -450,7 +388,8 @@ def oracle_enumerate(
             r, c, k = r_left - br, c1_left - bc1, 1
             while r >= 0:
                 # every candidate has r/d <= c1 <= r, so every sum of them
-                # has too: a remainder outside that range cannot be filled
+                # has too: a remainder outside that range (_lowest_c1 <= c
+                # <= r, cross-multiplied) cannot be filled
                 if c <= r <= d * c:
                     chosen.append((b, k))
                     search(i + 1, r, c, chosen)

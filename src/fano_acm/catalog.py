@@ -9,35 +9,13 @@ and a verbatim transcription of the classical rank <= 7 census table (one
 historically misprinted entry included).  verify_table1 recomputes every row
 and reports mismatches; the stored data is never silently corrected.
 
-A block's data depends only on its family, its twist and d, so each degree
-has one table, built on first use, of every family at twists 0 and 1 (20
-entries; S_C(1) and S_E(1) are the only twisted blocks of the census table
-and of every witness).  An entry holds the block's ChernData, the rank,
-c1, c1^2, c1^3, c2, c3 and c1 c2 that Whitney totals read, its
-availability on V_d and whether it is O_V, which witness validation
-reads.  Other twists are computed on each call, since they are
-unbounded.  The symbolic table columns (polynomials in d) come from the
-numeric Whitney sums at d = 3, 4, 5, compared as int triples with the
-printed polynomials' values there: a row that agrees prints its printed
-polynomial, and only a row that differs (today the one misprint) has its
-polynomial read off the sums.  Every such sum is linear in d, so two
-degrees determine the polynomial and the third checks it; sums that are
-not linear are an InternalError.  The census table's other columns (the
-printed and forced (c2, c3), the printed values at d = 3, 4, 5, the d_set
-string and the rendered decomposition) are built once per process by
-_table_columns, per degree and once for the symbolic table; every call
-recomputes the Whitney totals, which no cache holds.
-
-BlockSpec, DPoly, TableRow and Discrepancy, like the package's other value
-records, are collections.namedtuple subclasses with ``__slots__ = ()``, equal
-to a plain tuple of their fields.  BlockId, Decomposition and chow.ChernData
-are frozen records with ``__slots__`` (chow._Record), each equal only to its
-own class; a BlockId keeps its (family order, twist) sort key in a slot,
-and a Decomposition stores only its block counts, expanding ``blocks`` from
-them on each read.  Counts given in canonical order are stored as given,
-without a sort, and the Chern data of a Decomposition is one pass over its
-counts, reading each block's table entry, into the closed form of
-_whitney_total: no pairwise Whitney sums.
+BlockSpec, DPoly, TableRow and Discrepancy are collections.namedtuple
+subclasses with ``__slots__ = ()``, equal to a plain tuple of their fields.
+BlockId and Decomposition, like chow.ChernData, are frozen records with
+``__slots__`` (chow._Record), each equal only to its own class.  A
+Decomposition stores only its block counts; its Chern data is one
+chow._whitney_total over them.  The README describes the block table and
+the symbolic table columns.
 """
 
 from __future__ import annotations
@@ -49,14 +27,8 @@ from collections.abc import Callable
 from operator import itemgetter
 
 from .chow import (
-    ChernData,
-    FanoThreefold,
-    InternalError,
-    _Record,
-    euler_char,
-    forced_c2,
-    forced_c3,
-    twist,
+    ChernData, FanoThreefold, InternalError, _Record, _moments, _whitney_total, euler_char,
+    forced_c2, forced_c3, twist,
 )
 
 __all__ = [
@@ -243,15 +215,13 @@ def block_chern(block: BlockId, X: FanoThreefold) -> ChernData:
     is not defined on V_d (e.g. F_{5,1} with d = 4)."""
     if not block_available(block.family, X):
         raise UnavailableBlock(f"{block.family.value} is not available on {X}")
-    return _block_chern(block, X)
+    return _block_data(block, X)[0]
 
 
 def _block_entry(family: Family, X: FanoThreefold, c: ChernData) -> tuple:
     """A block table entry, for the family's block with Chern data c:
-    (c, rank, c1, c1^2, c1^3, c2, c3, c1 c2, available on X, is O_V)."""
-    a = c.c1
-    return (c, c.rank, a, a * a, a * a * a, c.c2, c.c3, a * c.c2,
-            block_available(family, X), family is Family.OV)
+    (c, *_moments(c), available on X, is O_V)."""
+    return (c, *_moments(c), block_available(family, X), family is Family.OV)
 
 
 @functools.cache
@@ -267,21 +237,16 @@ def _block_table(d: int) -> dict[tuple[int, int], tuple]:
     return table
 
 
-def _block_chern(block: BlockId, X: FanoThreefold) -> ChernData:
-    # read from the table at twists 0 and 1, twisted on each call at the
-    # others; formulas evaluate at any d, available there or not
+def _block_data(block: BlockId, X: FanoThreefold) -> tuple:
+    """The block's table entry on X; at twists the table does not hold,
+    built on each call from the twisted base entry.  The formulas evaluate
+    at any d, whether the block is available there or not."""
     table = _block_table(X.d)
     entry = table.get(block._key)
     if entry is None:
-        return twist(table[block._key[0], 0][0], X, block.twist)
-    return entry[0]
-
-
-def _block_data(block: BlockId, X: FanoThreefold) -> tuple:
-    """The block's table entry on X, built on each call at twists the
-    table does not hold."""
-    entry = _block_table(X.d).get(block._key)
-    return entry or _block_entry(block.family, X, _block_chern(block, X))
+        base = table[block._key[0], 0][0]
+        entry = _block_entry(block.family, X, twist(base, X, block.twist))
+    return entry
 
 
 def _unavailable_and_trivial(
@@ -304,27 +269,6 @@ def _block_rank_c1(block: BlockId) -> tuple[int, int]:
     # rank and c1 of every block are independent of d
     spec = BLOCKS[block.family]
     return spec.rank, spec.base_c1 + spec.rank * block.twist
-
-
-def _whitney_total(
-    d: int, rank: int, s1: int, s2: int, s3: int, sum_c2: int, sum_c3: int, sum_c1c2: int
-) -> ChernData:
-    """Chern data of a direct sum from sums over its summands, each counted
-    with multiplicity: the total rank, the power sums s1, s2, s3 of the
-    summands' c1, and the sums of their c2, c3 and c1 c2.
-
-    With c(E) = prod (1 + a_i H + b_i L + c_i P), H^2 = dL and H.L = P:
-
-        c2 = sum b + d e2(a),    c3 = sum c + sum_{i != j} a_i b_j + d e3(a),
-
-    where e2 = (s1^2 - s2)/2 and e3 = (s1^3 - 3 s1 s2 + 2 s3)/6 are the
-    elementary symmetric functions of the a_i (Newton's identities), and
-    sum_{i != j} a_i b_j = s1 sum b - sum a b.  Both divisions are exact.
-    tests/test_identities.py proves this equal to the fold of whitney_sum.
-    """
-    e2 = (s1 * s1 - s2) // 2
-    e3 = (s1 * s1 * s1 - 3 * s1 * s2 + 2 * s3) // 6
-    return ChernData(rank, s1, sum_c2 + d * e2, sum_c3 + s1 * sum_c2 - sum_c1c2 + d * e3)
 
 
 class Decomposition(_Record):
@@ -409,15 +353,12 @@ class Decomposition(_Record):
         return sum(_block_rank_c1(b)[1] * k for b, k in self.counts)
 
     def chern(self, X: FanoThreefold) -> ChernData:
-        """Whitney sum of the blocks, in one pass over ``counts`` (computed
-        whether or not every block is available on X; availability is
-        validated separately).  Each block's rank, powers of c1, c2, c3
-        and c1 c2 are read from its _block_table entry; see _whitney_total
-        for the closed form."""
+        """Whitney sum of the blocks, whether or not each is available on
+        X: one _whitney_total over the _moments in their table entries."""
         counts = self.counts
         if len(counts) == 1 and counts[0][1] == 1:
             # one copy of one block, as in five census rows: its table data
-            return _block_chern(counts[0][0], X)
+            return _block_data(counts[0][0], X)[0]
         table = _block_table(X.d)
         rank = s1 = s2 = s3 = sum_c2 = sum_c3 = sum_c1c2 = 0
         for b, k in counts:
@@ -526,13 +467,12 @@ class Discrepancy(
 
 @functools.cache
 def _table_columns(d: int | None) -> tuple[tuple[TableRow, dict, tuple, tuple], ...]:
-    """The census table's columns that no Whitney total enters, for each row
-    applicable at degree d, or for every row when d is None: the row, its
-    export dict with c2_computed, c3_computed and status left None, the
-    printed (c2, c3), ints at d or DPoly strings for None, and what the
-    totals are checked against besides: the forced (c2, c3) at d, or for
-    None the printed c2 and c3 at d = 3, 4, 5 as int triples.  At most four
-    entries, filled on first use; the totals are recomputed by every caller."""
+    """The census columns that no Whitney total enters, per row applicable
+    at degree d, or every row for d None: the row, its export dict with
+    c2_computed, c3_computed and status None, the printed (c2, c3) (ints at
+    d, DPoly strings for None), and what the totals are also checked
+    against: the forced (c2, c3) at d, or the printed c2 and c3 at
+    d = 3, 4, 5 as int triples."""
     out = []
     for row in _TABLE1:
         if d is None:
@@ -590,15 +530,8 @@ def _linear_in_d(values: tuple[int, int, int]) -> DPoly:
 
 
 TABLE_EXPORT_COLUMNS = (
-    "d_set",
-    "rank",
-    "c1",
-    "c2_printed",
-    "c3_printed",
-    "c2_computed",
-    "c3_computed",
-    "decomposition",
-    "status",
+    "d_set", "rank", "c1", "c2_printed", "c3_printed", "c2_computed", "c3_computed",
+    "decomposition", "status",
 )
 
 

@@ -214,39 +214,59 @@ def chi_twist(c: ChernData, X: FanoThreefold, t: int) -> Fraction:
     return euler_char(twist(c, X, t), X)
 
 
-def whitney_sum(a: ChernData, b: ChernData, X: FanoThreefold) -> ChernData:
-    """Chern data of a direct sum, from c(A + B) = c(A).c(B).
+def _moments(c: ChernData) -> tuple:
+    """What one summand adds to the sums _whitney_total reads: its rank, c1,
+    c1^2, c1^3, c2, c3 and c1 c2."""
+    a = c.c1
+    return c.rank, a, a * a, a * a * a, c.c2, c.c3, a * c.c2
 
-    The c1.c1 cross term carries a factor d (H^2 = dL), the c1.c2 cross
-    terms a factor 1 (H.L = P).
+
+def _whitney_total(
+    d: int, rank: int, s1: int, s2: int, s3: int, sum_c2: int, sum_c3: int, sum_c1c2: int
+) -> ChernData:
+    """Chern data of a direct sum from the sums of its summands' _moments,
+    each counted with multiplicity: the total rank, the power sums s1, s2,
+    s3 of the summands' c1, and the sums of their c2, c3 and c1 c2.  The one
+    closed form of c(E) = prod c(E_i) in this package.
+
+    With c(E) = prod (1 + a_i H + b_i L + c_i P), H^2 = dL and H.L = P:
+
+        c2 = sum b + d e2(a),    c3 = sum c + sum_{i != j} a_i b_j + d e3(a),
+
+    where e2 = (s1^2 - s2)/2 and e3 = (s1^3 - 3 s1 s2 + 2 s3)/6 are the
+    elementary symmetric functions of the a_i (Newton's identities), and
+    sum_{i != j} a_i b_j = s1 sum b - sum a b.  Both divisions are exact.
+    tests/test_identities.py proves this equal to the product of the Chern
+    polynomials.
     """
-    d = X.d
-    return ChernData(
-        a.rank + b.rank,
-        a.c1 + b.c1,
-        a.c2 + b.c2 + d * a.c1 * b.c1,
-        a.c3 + b.c3 + a.c1 * b.c2 + a.c2 * b.c1,
+    e2 = (s1 * s1 - s2) // 2
+    e3 = (s1 * s1 * s1 - 3 * s1 * s2 + 2 * s3) // 6
+    return ChernData(rank, s1, sum_c2 + d * e2, sum_c3 + s1 * sum_c2 - sum_c1c2 + d * e3)
+
+
+def whitney_sum(a: ChernData, b: ChernData, X: FanoThreefold) -> ChernData:
+    """Chern data of a direct sum, from c(A + B) = c(A).c(B):
+
+    c2 = c2(A) + c2(B) + d c1(A) c1(B)
+    c3 = c3(A) + c3(B) + c1(A) c2(B) + c2(A) c1(B)
+    """
+    ra, a1, a2, a3, ac2, ac3, ac1c2 = _moments(a)
+    rb, b1, b2, b3, bc2, bc3, bc1c2 = _moments(b)
+    return _whitney_total(
+        X.d, ra + rb, a1 + b1, a2 + b2, a3 + b3, ac2 + bc2, ac3 + bc3, ac1c2 + bc1c2
     )
 
 
 def whitney_power(c: ChernData, X: FanoThreefold, k: int) -> ChernData:
-    """Chern data of the direct sum of k >= 0 copies, from c(E^k) = c(E)^k.
+    """Chern data of the direct sum of k >= 0 copies, from c(E^k) = c(E)^k:
 
-    c1 -> k c1
-    c2 -> k c2 + C(k,2) d c1^2
-    c3 -> k c3 + 2 C(k,2) c1 c2 + C(k,3) d c1^3
-
-    Equal to k - 1 iterated whitney_sum calls, in constant time.
+    c2 = k c2 + C(k,2) d c1^2
+    c3 = k c3 + 2 C(k,2) c1 c2 + C(k,3) d c1^3
     """
     if k < 0:
         raise ValueError(f"number of copies must be non-negative, got {k}")
-    d = X.d
-    return ChernData(
-        k * c.rank,
-        k * c.c1,
-        k * c.c2 + _binom2(k) * d * c.c1**2,
-        k * c.c3 + 2 * _binom2(k) * c.c1 * c.c2 + _binom3(k) * d * c.c1**3,
-    )
+    r, a, a2, a3, c2, c3, ac2 = _moments(c)
+    return _whitney_total(X.d, k * r, k * a, k * a2, k * a3, k * c2, k * c3, k * ac2)
 
 
 def dual(c: ChernData) -> ChernData:

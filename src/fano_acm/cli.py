@@ -3,7 +3,8 @@
 Every subcommand reads its inputs from flags and writes its result to
 stdout (diagnostics to stderr) as human text (default), json or csv.  Output
 is deterministic: identical invocations produce byte-identical output, so
-json and csv are safe for golden files.
+json and csv are safe for golden files.  json output is json.dumps(payload,
+indent=2) byte for byte.
 
 Exit codes: 0 success; 1 invalid input (bad flags, an int flag of more than
 4300 digits among them, d outside {3,4,5}, rank < 3, or < 0 for oracle, an
@@ -17,46 +18,9 @@ empty table and an `oracle` that finds no decomposition prints an empty
 list, both with exit 0.  Under main(), a stdout that its reader closes
 early (`| head`) ends the process quietly with exit 1.
 
-There is one output path.  A handler returns a _Result: one zero-argument
-maker per format (the json text, the csv header and rows, the human
-lines), an optional stderr note, which means exit 2, and, for the list
-outputs, rows: a function of the format that yields one rendered row each,
-a "%" template filled with the row's values.  admissible and census
-render every format so; verify-table and oracle their json rows only, and
-their csv and human makers render the rest.  Only the emitter, _emit,
-reads --format or writes stdout.  It calls that format's maker and writes
-the text in one call; rows follow the csv or human text, or fill the json
-payload's last value, an empty list, in chunks of a few thousand rows, one
-call each, so the census's memory stays flat.
-
-json output is json.dumps(payload, indent=2) byte for byte, without the
-json encoder: every json answer, and every json row, has one fixed "%"
-template, built by _json_template from its keys and depth, and one "%"
-fills it with each value's json text.  An int is its str(), a bool true or
-false, and a str is quoted by encode_basestring_ascii, the C function
-json.dumps quotes with, or, if it can hold only ASCII letters, digits and
-"_+-/,", between plain double quotes, as json quotes it.  A
-Decomposition, in a witness or an oracle row, stands for its to_json()
-list: each distinct block's text is one template fill, multiplied by the
-block's count, so a witness of 500,000 blocks costs one copy of its text
-per step, not a dict per block.  json is imported by the first answer that
-quotes a string, csv by the first csv answer, so importing this module, or
-a human answer, loads neither.
-
 run() may be called any number of times in one process, and every call acts
-as in a fresh process.  A plain argv is parsed straight from the _COMMANDS
-table, without argparse: a subcommand, then each of its flags at most once
-and spelled out in full, a switch alone and any other flag followed by its
-value (an int as ASCII digits with an optional "-", within the int/str digit
-limit; a value with choices one of them), every required flag present.
-argparse reads such an argv one way only, and the table gives the same
-namespace; both paths fill a types.SimpleNamespace.  Every other argv (an
-abbreviation, --flag=value, a repeated flag, a bad value, --help, a missing
-flag) goes through argparse, which alone writes help and usage errors.  Its
-parsers are built from the same table once, on first need, and reused;
-argparse keeps no per-parse state on a parser.  An argv that starts with a
-subcommand goes to that subcommand's parser alone, with the same namespace,
-errors and help as the top-level parser.
+as in a fresh process.  The README describes the output path, the json
+templates and the argv parsing.
 """
 
 from __future__ import annotations
@@ -97,12 +61,10 @@ _JSON_BOOL = ("false", "true")
 
 @functools.cache
 def _json_template(keys: tuple[str, ...], depth: int, **texts: str) -> str:
-    """The "%" template of json.dumps(indent=2) of a dict with these keys,
-    as it reads nested depth levels deep.  Each value is "%s", filled with
-    the value's json text, or its entry in texts: a nested template, or a
-    fixed json text with any "%" doubled.  The keys are ASCII identifiers,
-    which json quotes as they are.  Cached, as _blocks_json asks for its
-    block template on every call."""
+    """The "%" template of json.dumps(indent=2) of a dict with these ASCII
+    identifier keys, nested depth levels deep.  Each value is "%s", for the
+    value's json text, or its entry in texts: a nested template, or a fixed
+    json text with any "%" doubled."""
     inner = "\n" + (depth + 1) * _INDENT
     items = [f'{inner}"{key}": {texts.get(key, "%s")}' for key in keys]
     return "{" + ",".join(items) + "\n" + depth * _INDENT + "}"
@@ -122,8 +84,7 @@ def _blocks_json(dec: Decomposition, depth: int) -> str:
     block's count, so a run of copies costs one copy per byte."""
     if not dec.counts:
         return "[]"
-    # ',' then the block's dict; family names are ASCII identifiers, which
-    # json quotes as they are
+    # ',' then the block's dict; a family name is an ASCII identifier
     block = ",\n" + (depth + 1) * _INDENT + _json_template(
         ("family", "twist"), depth + 1, family='"%s"'
     )
@@ -139,10 +100,10 @@ def _blocks_json(dec: Decomposition, depth: int) -> str:
 class _Result(namedtuple("_Result", "json csv human note rows", defaults=(None, None))):
     """A handler's answer, with one maker per output format: json() gives
     the output text, csv() the header and rows, human() at least one line.
-    A maker does only its own format's work, so a call pays for one
-    rendering.  A note is a negative answer, for stderr, and means exit 2.
-    rows(format), if given, yields rendered rows, none for a format whose
-    maker renders them (see the module docstring)."""
+    A note is a negative answer, for stderr, and means exit 2.  rows(format),
+    if given, yields rendered rows from "%" templates, none for a format
+    whose maker renders them, and _emit writes them after the text, or
+    into the json text's last value, an empty list."""
 
     __slots__ = ()
 
@@ -188,10 +149,8 @@ def _emit(result: _Result, args: SimpleNamespace) -> int:
     return 2
 
 
-# json answers: one template per answer (per verdict class for classify2),
-# each ending in the output's newline.  A list output's template holds an
-# empty list, which _emit fills with the rows; a row's json template reads
-# two levels deep, and _emit indents its first line.
+# json answers, one template each (per verdict class for classify2); a
+# row's json template reads two levels deep, and _emit indents its first line
 def _json_answer(keys: tuple[str, ...], **texts: str) -> str:
     return _json_template(keys, 0, **texts) + "\n"
 
@@ -246,10 +205,9 @@ _CENSUS_ROW = {
     ),
 }
 
-# verify-table json rows, numeric (--d given) and symbolic, filled with a
-# row's values, the decomposition quoted by json.  Its other strings, d_set,
-# status and the symbolic DPoly columns, hold only digits, commas, letters,
-# "+" and "-", which json quotes as they are.
+# verify-table json rows, numeric (--d given) and symbolic: only the
+# decomposition needs json's quoting; the other strings hold only digits,
+# commas, letters, "+" and "-"
 _TABLE_QUOTED = ("d_set", "status")
 _TABLE_ROW_JSON = tuple(
     _json_template(TABLE_EXPORT_COLUMNS, 2, **dict.fromkeys(quoted, '"%s"'))
@@ -372,7 +330,7 @@ def _cmd_census(X: FanoThreefold, args: SimpleNamespace) -> _Result:
 
     def rendered(fmt: str):
         templates = _CENSUS_ROW[fmt]
-        # strict: admissible(), as c1 <= r
+        # strict: _lowest_c1(d, r, False) <= c1, cross-multiplied
         return (templates[d * row[2] >= row[1]] % row for row in rows)
 
     return _Result(
@@ -496,8 +454,12 @@ def _plain_int(text: str) -> int | None:
 
 
 def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace argparse gives a plain argv (see the module docstring),
-    or None for any other argv."""
+    """The namespace argparse gives a plain argv, or None for any other.  A
+    plain argv, which argparse reads one way only, is a subcommand, then
+    each of its flags at most once and spelled out in full, a switch alone
+    and any other flag followed by its value (an int as ASCII digits with an
+    optional "-", within the int/str digit limit; a value with choices one
+    of them), with every required flag present."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     flags, defaults, required = _plain_table(argv[0])

@@ -793,6 +793,30 @@ def test_oracle_finds_nothing_on_the_relaxed_only_census_rows():
             assert oracle_enumerate(X, r, c1) == [], (X.d, r, c1)
 
 
+# about 0.3 s for the three degrees on a 2-vCPU VM
+_REACH_MAX_RANK = 800
+
+
+def test_block_sums_reach_exactly_the_admissible_range():
+    # the existence statement, checked without witness: an unbounded
+    # knapsack over the eligible blocks, where bit r of reach[c] says that
+    # some sum of them has rank r and c1 = c.  Every block has c1 >= 1, so
+    # no sum has c1 > R at rank <= R.
+    R = _REACH_MAX_RANK
+    below = (1 << (R + 1)) - 1
+    for X in VARIETIES:
+        reach = [1] + [0] * R  # the empty sum
+        for b in _oracle_blocks(X):
+            br, bc = _block_rank_c1(b)
+            assert bc >= 1
+            for c in range(bc, R + 1):
+                reach[c] |= (reach[c - bc] << br) & below
+        for r in range(3, R + 1):
+            for c1 in range(0, r + 2):
+                reached = c1 <= R and reach[c1] >> r & 1
+                assert bool(reached) == admissible(X, r, c1), (X.d, r, c1)
+
+
 # --- chi identities of admissible triples ---------------------------------------
 
 def test_chi_vanishing_for_admissible_triples():

@@ -28,6 +28,7 @@ from fano_acm import (  # noqa: E402
     euler_char,
     forced_c2,
     forced_c3,
+    serre_chern,
     twist,
     whitney_power,
     whitney_sum,
@@ -90,6 +91,9 @@ class Exact:
     def __lt__(self, other):
         # a relational sympy cannot decide raises TypeError here
         return bool(self.e < self._of(other))
+
+    def __le__(self, other):
+        return bool(self.e <= self._of(other))
 
 
 def _symbols(names: str, **assumptions):
@@ -185,6 +189,27 @@ def _forced(rank, c1_) -> ChernData:
     return ChernData(rank, c1_, forced_c2(X, rank, c1_), forced_c3(X, rank, c1_))
 
 
+def _chern_product(a: ChernData, b: ChernData) -> ChernData:
+    """The reference for every Whitney sum, independent of chow: c(A) c(B),
+    each written c = 1 + c1 H + (c2/d) H^2 + (c3/d) H^3 in Q(d)[H]/(H^4),
+    since H^2 = dL and H^3 = dP; then c2 = d [H^2] and c3 = d [H^3]."""
+    H, de = sp.Symbol("H"), d.e
+
+    def chern_polynomial(c: ChernData):
+        c1_, c2_, c3_ = (Exact._of(e) for e in (c.c1, c.c2, c.c3))
+        return 1 + c1_ * H + c2_ / de * H**2 + c3_ / de * H**3
+
+    product = sp.expand(chern_polynomial(a) * chern_polynomial(b))
+    return ChernData(a.rank + b.rank, Exact(product.coeff(H, 1)),
+                     Exact(de * product.coeff(H, 2)), Exact(de * product.coeff(H, 3)))
+
+
+def test_whitney_sum_is_the_product_of_chern_polynomials():
+    a = ChernData(s_a + 3, c1a, p0, q0)
+    b = ChernData(s_b + 3, c1b, u0, v0)
+    assert whitney_sum(a, b, X) == _chern_product(a, b)
+
+
 def test_forced_classes_are_closed_under_whitney_sum():
     # ranks of at least 3, so that ChernData accepts the forced tail; both
     # sides are polynomials in the ranks, so the identity holds at every rank
@@ -199,7 +224,7 @@ def test_whitney_power_is_the_k_fold_whitney_sum():
     # copies plus one more
     c = ChernData(s_a + 3, c1a, p0, q0)
     assert whitney_power(c, X, 0) == ChernData.trivial(0)
-    assert whitney_power(c, X, k + 1) == whitney_sum(whitney_power(c, X, k), c, X)
+    assert whitney_power(c, X, k + 1) == _chern_product(whitney_power(c, X, k), c)
 
 
 # --- the one-pass Whitney total of a Decomposition ----------------------------------
@@ -232,7 +257,7 @@ def test_whitney_total_adds_a_summand_as_whitney_sum_does():
         d, rank + summand_rank, p1 + a, p2 + a * a, p3 + a**3,
         sum_c2 + b, sum_c3 + c, sum_c1c2 + a * b,
     )
-    assert after == whitney_sum(before, ChernData(summand_rank, a, b, c), X)
+    assert after == _chern_product(before, ChernData(summand_rank, a, b, c))
 
 
 # --- twists: additive in the twist, distributive over Whitney sums ------------------
@@ -398,3 +423,37 @@ def test_forced_classes_have_chi_of_minus_1_and_minus_2_twists_zero(exact_chi):
     c = _forced(s_a + 3, c1)
     assert chi_twist(c, X, -1) == 0
     assert chi_twist(c, X, -2) == 0
+
+
+# --- the Serre construction: three derivations of c3 agree -------------------------
+
+def test_serre_chern_c3_balances_chi_across_the_sequence(exact_chi):
+    # 0 -> O^{r-1} -> F -> I_D(c1) -> 0 and 0 -> I_D(c1) -> O(c1) -> O_D(c1) -> 0
+    # give chi(F) = (r-1) chi(O) + chi(O(c1)) - chi(O_D(c1)), and Riemann-Roch
+    # on D, of degree deg = H.D and arithmetic genus p_a, gives
+    # chi(O_D(c1)) = c1 deg + 1 - p_a.  chi(F) is linear in c3 with slope
+    # 1/2, so the balance has one solution.
+    rank, degree, genus = s_a + 2, s_b + 1, u0
+    target = (
+        (rank - 1) * euler_char(ChernData.trivial(1), X)
+        + euler_char(ChernData.line_bundle(c1), X)
+        - (c1 * degree + 1 - genus)
+    )
+    unknown = sp.Symbol("c3")
+    chi = euler_char(ChernData(rank, c1, degree, Exact(unknown)), X)
+    (c3,) = sp.solve(Exact._of(chi - target), unknown)
+    assert serre_chern(X, rank, c1, degree, genus) == ChernData(rank, c1, degree, Exact(c3))
+
+
+@pytest.mark.parametrize("case", ["c1 >= 1", "c1 <= 0"])
+def test_serre_chern_of_the_forced_curve_has_the_forced_classes(case):
+    # the curve of curve_invariants carries forced_c2 and forced_c3.  d > 0,
+    # and c1 = n + 1 or -n with n >= 0, so that sympy decides the degree's
+    # positivity, which serre_chern checks; together the cases cover every c1
+    V = SimpleNamespace(d=Exact(sp.Symbol("dp", integer=True, positive=True)))
+    n = Exact(sp.Symbol("n", integer=True, nonnegative=True))
+    rank, c1_ = s_a + 2, n + 1 if case == "c1 >= 1" else -n
+    degree, genus = curve_invariants(V, rank, c1_)
+    assert serre_chern(V, rank, c1_, degree, genus) == ChernData(
+        rank, c1_, forced_c2(V, rank, c1_), forced_c3(V, rank, c1_)
+    )
