@@ -305,8 +305,12 @@ class ValidationReport(
 
     @property
     def checks(self) -> tuple[Check, ...]:
+        return tuple(map(Check, _CHECK_NAMES, self.verdicts, self._details()))
+
+    def _details(self) -> tuple[str, ...]:
+        """The five checks' detail strings, in the order of ``checks``."""
         X, total, (fc2, fc3) = self.X, self.total, self.forced
-        details = (
+        return (
             f"not available on {X}: {', '.join(self.unavailable)}"
             if self.unavailable
             else f"all blocks available on {X}",
@@ -315,7 +319,6 @@ class ValidationReport(
             f"c2 {total.c2} vs forced {fc2}, c3 {total.c3} vs forced {fc3}",
             f"{self.trivial} trivial summand(s)" if self.trivial else "no trivial summands",
         )
-        return tuple(map(Check, _CHECK_NAMES, self.verdicts, details))
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}

@@ -49,11 +49,9 @@ Rational = Fraction
 
 
 def format_rational(q: Fraction | int) -> str:
-    """Render a rational as "p/q" reduced, or as a bare integer when q = 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a rational as "p/q" reduced, or as a bare integer when q = 1,
+    as str of a Fraction does; a Fraction is not built again."""
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def _binom2(n: int) -> int:

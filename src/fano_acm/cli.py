@@ -4,7 +4,8 @@ Every subcommand reads its inputs from flags and writes its result to
 stdout (diagnostics to stderr) as human text (default), json or csv.  Output
 is deterministic: identical invocations produce byte-identical output, so
 json and csv are safe for golden files.  json output is json.dumps(payload,
-indent=2) byte for byte.
+indent=2) byte for byte, and csv output is what csv.writer writes with
+lineterminator="\\n".
 
 Exit codes: 0 success; 1 invalid input (bad flags, an int flag of more than
 4300 digits among them, d outside {3,4,5}, rank < 3, or < 0 for oracle, an
@@ -78,6 +79,15 @@ def _json_quote():
     return encode_basestring_ascii
 
 
+def _csv_quote(field: str) -> str:
+    """The field as csv.writer writes it (QUOTE_MINIMAL, lineterminator
+    "\\n") in a row of more than one field: between double quotes, with any
+    inner one doubled, when it holds a comma, a double quote or a newline."""
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def _blocks_json(dec: Decomposition, depth: int) -> str:
     """json.dumps(dec.to_json(), indent=2) as it reads nested depth levels
     deep.  Each distinct block's text is one "%" fill, multiplied by the
@@ -98,8 +108,8 @@ def _blocks_json(dec: Decomposition, depth: int) -> str:
 
 
 class _Result(namedtuple("_Result", "json csv human note rows", defaults=(None, None))):
-    """A handler's answer, with one maker per output format: json() gives
-    the output text, csv() the header and rows, human() at least one line.
+    """A handler's answer, with one maker per output format: json() and
+    csv() give the output text, human() at least one line.
     A note is a negative answer, for stderr, and means exit 2.  rows(format),
     if given, yields rendered rows from "%" templates, none for a format
     whose maker renders them, and _emit writes them after the text, or
@@ -116,18 +126,10 @@ def _emit(result: _Result, args: SimpleNamespace) -> int:
     rows, and return the exit code.  A row iterator refuses before its first
     row, so before anything is written."""
     fmt = args.format
-    if fmt == "json":
-        text = result.json()
-    elif fmt == "csv":
-        import csv
-        header, rows = result.csv()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
+    if fmt == "human":
         text = "\n".join(result.human()) + "\n"
+    else:  # the json or csv text
+        text = getattr(result, fmt)()
     write = sys.stdout.write
     if result.rows is not None:
         rendered = result.rows(fmt)
@@ -158,12 +160,14 @@ def _json_answer(keys: tuple[str, ...], **texts: str) -> str:
 _CHERN_JSON = _json_template(("rank", "c1", "c2", "c3"), 1)
 _CHI_JSON = _json_answer(("d", "chern", "twist", "chi"), chern=_CHERN_JSON)
 _TWIST_JSON = _json_answer(("d", "chern", "t", "result"), chern=_CHERN_JSON, result=_CHERN_JSON)
+# each verdict class with the keys of its to_json()
+_VERDICT_KEYS = ((TwistOf, ("kind", "twist")), (SplitLineBundles, ("kind", "a", "b")),
+                 (NoACMBundle, ("kind",)))
 _CLASSIFY2_JSON = {
     verdict: _json_answer(
         ("d", "c1", "c2", "verdict"), verdict=_json_template(keys, 1, kind='"%s"')
     )
-    for verdict, keys in ((TwistOf, ("kind", "twist")), (SplitLineBundles, ("kind", "a", "b")),
-                          (NoACMBundle, ("kind",)))
+    for verdict, keys in _VERDICT_KEYS
 }
 # the five checks' names are fixed; each check fills its passed and detail
 _CHECKS_JSON = "[" + ",".join(
@@ -180,16 +184,51 @@ _CENSUS_JSON = _json_answer(("d", "max_rank", "relaxed", "triples"), triples="[]
 _TABLE_JSON = _json_answer(("rows",), rows="[]")
 _ORACLE_JSON = _json_answer(("d", "rank", "c1", "decompositions"), decompositions="[]")
 
+
+def _csv_header(columns: tuple[str, ...]) -> str:
+    return ",".join(columns) + "\n"
+
+
+def _csv_row(columns: tuple[str, ...], **texts: str) -> str:
+    """The "%" template of a csv row of these columns.  Each value is "%s",
+    for the value's csv text, or its entry in texts, a fixed text with any
+    "%" doubled."""
+    return ",".join([texts.get(column, "%s") for column in columns]) + "\n"
+
+
+# csv answers: a header and one row template each (per verdict class for
+# classify2).  Only a rendered decomposition or a d_set can hold a comma,
+# so only they go through _csv_quote; ints, bools, "p/q" and the verdict
+# kinds are written as they are.
+def _csv_answer(columns: tuple[str, ...], **texts: str) -> str:
+    return _csv_header(columns) + _csv_row(columns, **texts)
+
+
+_CHI_CSV = _csv_answer(("d", "rank", "c1", "c2", "c3", "twist", "chi"))
+_TWIST_CSV = _csv_answer(
+    ("d", "rank", "c1", "c2", "c3", "t", "rank_out", "c1_out", "c2_out", "c3_out")
+)
+_CLASSIFY2_CSV = {
+    verdict: _csv_answer(
+        ("d", "c1", "c2", "kind", "twist", "a", "b"),
+        **dict.fromkeys({"twist", "a", "b"}.difference(keys), ""),
+    )
+    for verdict, keys in _VERDICT_KEYS
+}
+_WITNESS_CSV = _csv_answer(("d", "rank", "c1", "decomposition", "c2", "c3", "valid"))
+_ORACLE_CSV_COLUMNS = ("d", "rank", "c1", "decomposition", "c2", "c3")
+_ORACLE_CSV_ROW = _csv_row(_ORACLE_CSV_COLUMNS)
+_TABLE_CSV_ROW = _csv_row(TABLE_EXPORT_COLUMNS)
+
 _TRIPLE_HEADER = ("d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus")
 _EXISTENCE = (("False", "unknown"), ("True", "witnessed"))
 
 # Row templates per format for a (d, rank, c1, c2, c3, curve_degree,
 # curve_genus) row; "%.0s" drops a value, and csv and human need no quoting.
 # A census row adds its strict and existence values: (not strict, strict).
-_TRIPLE_CSV = ",".join(["%s"] * len(_TRIPLE_HEADER))
 _TRIPLE_ROW = {
     "json": _json_template(_TRIPLE_HEADER, 2),
-    "csv": _TRIPLE_CSV + "\n",
+    "csv": _csv_row(_TRIPLE_HEADER),
     "human": "%.0s%.0s  c1=%s: c2=%s, c3=%s, curve degree %s, genus %s\n",
 }
 _CENSUS_HEADER = _TRIPLE_HEADER + ("strict", "existence")
@@ -198,7 +237,10 @@ _CENSUS_ROW = {
         _json_template(_CENSUS_HEADER, 2, strict=strict.lower(), existence=f'"{existence}"')
         for strict, existence in _EXISTENCE
     ),
-    "csv": tuple(f"{_TRIPLE_CSV},{strict},{existence}\n" for strict, existence in _EXISTENCE),
+    "csv": tuple(
+        _csv_row(_CENSUS_HEADER, strict=strict, existence=existence)
+        for strict, existence in _EXISTENCE
+    ),
     "human": tuple(
         f"%.0s  r=%s c1=%s: c2=%s, c3=%s, degree %s, genus %s [{existence}]\n"
         for _, existence in _EXISTENCE
@@ -230,10 +272,7 @@ def _cmd_chi(X: FanoThreefold, args: SimpleNamespace) -> _Result:
             X.d, *c.tuple(), args.twist,
             value.numerator if value.denominator == 1 else f'"{format_rational(value)}"',
         ),
-        lambda: (
-            ["d", "rank", "c1", "c2", "c3", "twist", "chi"],
-            [[X.d, c.rank, c.c1, c.c2, c.c3, args.twist, format_rational(value)]],
-        ),
+        lambda: _CHI_CSV % (X.d, *c.tuple(), args.twist, format_rational(value)),
         lambda: [f"{X}: F = {_chern_str(c)}",
                  f"chi(F({args.twist})) = {format_rational(value)}"],
     )
@@ -244,10 +283,7 @@ def _cmd_twist(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     out = twist(c, X, args.t)
     return _Result(
         lambda: _TWIST_JSON % (X.d, *c.tuple(), args.t, *out.tuple()),
-        lambda: (
-            ["d", "rank", "c1", "c2", "c3", "t", "rank_out", "c1_out", "c2_out", "c3_out"],
-            [[X.d, c.rank, c.c1, c.c2, c.c3, args.t, out.rank, out.c1, out.c2, out.c3]],
-        ),
+        lambda: _TWIST_CSV % (X.d, *c.tuple(), args.t, *out.tuple()),
         lambda: [f"{X}: F = {_chern_str(c)}", f"F({args.t}) = {_chern_str(out)}"],
     )
 
@@ -255,13 +291,8 @@ def _cmd_twist(X: FanoThreefold, args: SimpleNamespace) -> _Result:
 def _cmd_classify2(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     verdict = classify_rank2(X, args.c1, args.c2)
 
-    def csv_rows():
-        row: list[object] = [X.d, args.c1, args.c2, verdict.kind, "", "", ""]
-        if isinstance(verdict, TwistOf):
-            row[4] = verdict.twist
-        elif isinstance(verdict, SplitLineBundles):
-            row[5], row[6] = verdict.a, verdict.b
-        return ["d", "c1", "c2", "kind", "twist", "a", "b"], [row]
+    def values():
+        return (X.d, args.c1, args.c2, *verdict.to_json().values())
 
     def human():
         if isinstance(verdict, TwistOf):
@@ -277,10 +308,9 @@ def _cmd_classify2(X: FanoThreefold, args: SimpleNamespace) -> _Result:
             if isinstance(verdict, NoACMBundle) else None)
     # a verdict's kind is an ASCII identifier, which json quotes as it is
     return _Result(
-        lambda: _CLASSIFY2_JSON[type(verdict)] % (
-            X.d, args.c1, args.c2, *verdict.to_json().values()
-        ),
-        csv_rows, human, note,
+        lambda: _CLASSIFY2_JSON[type(verdict)] % values(),
+        lambda: _CLASSIFY2_CSV[type(verdict)] % values(),
+        human, note,
     )
 
 
@@ -289,7 +319,7 @@ def _cmd_admissible(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     mode = "relaxed" if args.relaxed else "strict"
     return _Result(
         lambda: _ADMISSIBLE_JSON % (X.d, args.rank, _JSON_BOOL[args.relaxed]),
-        lambda: (_TRIPLE_HEADER, ()),
+        lambda: _csv_header(_TRIPLE_HEADER),
         lambda: [f"{X}: rank {args.rank}, {mode} admissible c1 values: {len(triples)}"],
         rows=lambda fmt: map(_TRIPLE_ROW[fmt].__mod__, triples),
     )
@@ -300,26 +330,29 @@ def _cmd_witness(X: FanoThreefold, args: SimpleNamespace) -> _Result:
     report = validate_witness(X, dec, args.rank, args.c1)
     total = report.total
 
+    def checks():
+        # each check's name, verdict and detail, without building Check records
+        return zip(_CHECK_NAMES, report.verdicts, report._details())
+
     def json():
         quote = _json_quote()
         return _WITNESS_JSON % (
             X.d, args.rank, args.c1, _blocks_json(dec, 1), quote(dec.render()),
             *total.tuple(), _JSON_BOOL[report.ok],
             *chain.from_iterable(
-                (_JSON_BOOL[check.passed], quote(check.detail)) for check in report.checks
+                (_JSON_BOOL[passed], quote(detail)) for _, passed, detail in checks()
             ),
         )
 
     return _Result(
         json,
-        lambda: (
-            ["d", "rank", "c1", "decomposition", "c2", "c3", "valid"],
-            [[X.d, args.rank, args.c1, dec.render(), total.c2, total.c3, report.ok]],
+        lambda: _WITNESS_CSV % (
+            X.d, args.rank, args.c1, _csv_quote(dec.render()), total.c2, total.c3, report.ok
         ),
         lambda: [f"{X}: rank {args.rank}, c1={args.c1}",
                  f"witness: {dec.render()} = {_chern_str(total)}"] + [
-            f"  [{'ok' if check.passed else 'FAIL'}] {check.name}: {check.detail}"
-            for check in report.checks
+            f"  [{'ok' if passed else 'FAIL'}] {name}: {detail}"
+            for name, passed, detail in checks()
         ],
     )
 
@@ -335,16 +368,21 @@ def _cmd_census(X: FanoThreefold, args: SimpleNamespace) -> _Result:
 
     return _Result(
         lambda: _CENSUS_JSON % (d, args.max_rank, _JSON_BOOL[args.relaxed]),
-        lambda: (_CENSUS_HEADER, ()),
+        lambda: _csv_header(_CENSUS_HEADER),
         lambda: [f"{X}: admissible triples for 3 <= rank <= {args.max_rank}"],
         rows=rendered,
     )
 
 
 def _cmd_verify_table(X: FanoThreefold | None, args: SimpleNamespace) -> _Result:
-    def csv_rows():
-        rows = table_export_rows(X)
-        return TABLE_EXPORT_COLUMNS, [[row[c] for c in TABLE_EXPORT_COLUMNS] for row in rows]
+    def csv():
+        lines = [_csv_header(TABLE_EXPORT_COLUMNS)]
+        for row in table_export_rows(X):
+            d_set, *middle, decomposition, status = row.values()
+            lines.append(_TABLE_CSV_ROW % (
+                _csv_quote(d_set), *middle, _csv_quote(decomposition), status
+            ))
+        return "".join(lines)
 
     def human():
         lines = []
@@ -373,7 +411,7 @@ def _cmd_verify_table(X: FanoThreefold | None, args: SimpleNamespace) -> _Result
             *head, decomposition, status = row.values()
             yield template % (*head, quote(decomposition), status)
 
-    return _Result(lambda: _TABLE_JSON, csv_rows, human, rows=_json_only(json_rows))
+    return _Result(lambda: _TABLE_JSON, csv, human, rows=_json_only(json_rows))
 
 
 def _cmd_oracle(X: FanoThreefold, args: SimpleNamespace) -> _Result:
@@ -383,13 +421,15 @@ def _cmd_oracle(X: FanoThreefold, args: SimpleNamespace) -> _Result:
         quote = _json_quote()
         return (_ORACLE_ROW_JSON % (_blocks_json(dec, 3), quote(dec.render())) for dec in decs)
 
+    def csv():
+        return _csv_header(_ORACLE_CSV_COLUMNS) + "".join([
+            _ORACLE_CSV_ROW % (X.d, args.rank, args.c1, _csv_quote(dec.render()), c.c2, c.c3)
+            for dec in decs for c in (dec.chern(X),)
+        ])
+
     return _Result(
         lambda: _ORACLE_JSON % (X.d, args.rank, args.c1),
-        lambda: (
-            ["d", "rank", "c1", "decomposition", "c2", "c3"],
-            [[X.d, args.rank, args.c1, dec.render(), c.c2, c.c3]
-             for dec in decs for c in (dec.chern(X),)],
-        ),
+        csv,
         lambda: [f"{X}: rank {args.rank}, c1={args.c1}: {len(decs)} decomposition(s)"]
         + [f"  {dec.render()} = {_chern_str(dec.chern(X))}" for dec in decs],
         rows=_json_only(json_rows),
@@ -522,7 +562,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         except _UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    X = None if args.d is None else FanoThreefold(args.d)
+    # the parser has checked d
+    X = None if args.d is None else _VARIETIES[args.d - 3]
     # The parser refuses ints of over 4300 digits, CPython's process-wide
     # int/str limit; answers can be longer, so lift it for this call only.
     # Before 3.10.7 there is no limit, and getattr gives 0, meaning none.

@@ -14,11 +14,12 @@ inputs are handled correctly.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
 from .catalog import BlockId, Family, block_chern
-from .chow import ChernData, FanoThreefold, twist, whitney_sum
+from .chow import ChernData, FanoThreefold, whitney_sum
 
 __all__ = [
     "TwistOf",
@@ -43,7 +44,9 @@ class TwistOf(namedtuple("TwistOf", "family twist")):
         return f"TwistOf{self.family.name}"
 
     def chern(self, X: FanoThreefold) -> ChernData:
-        return block_chern(BlockId(self.family, self.twist), X)
+        b1, b2 = _rule_table(X.d)[self.family]
+        t = self.twist
+        return ChernData(2, b1 + 2 * t, _model_c2(X.d, b1, b2, t), 0)
 
     def render(self) -> str:
         return BlockId(self.family, self.twist).render()
@@ -88,15 +91,21 @@ NO_ACM_BUNDLE = NoACMBundle()
 Rank2Verdict = TwistOf | SplitLineBundles | NoACMBundle
 
 
-def _match_model(X: FanoThreefold, family: Family, c1: int, c2: int) -> int | None:
-    # Solve c1 = m1 + 2t exactly, then check the twisted c2.
-    base = block_chern(BlockId(family, 0), X)
-    if (c1 - base.c1) % 2:
-        return None
-    t = (c1 - base.c1) // 2
-    if twist(base, X, t).c2 == c2:
-        return t
-    return None
+@functools.cache
+def _rule_table(d: int) -> dict[Family, tuple[int, int]]:
+    """The base (c1, c2) of S_L, S_C and S_E on V_d, in the order
+    classify_rank2 tries them; built on first use."""
+    X = FanoThreefold(d)
+    return {
+        family: (c.c1, c.c2)
+        for family in _MODEL_FAMILIES for c in (block_chern(BlockId(family), X),)
+    }
+
+
+def _model_c2(d: int, b1: int, b2: int, t: int) -> int:
+    """c2 of the twist by t of a rank-2 model with base (c1, c2) = (b1, b2):
+    the rank-2 case of chow.twist, c2 + (r-1) t c1 d + C(r,2) t^2 d."""
+    return b2 + d * t * (b1 + t)
 
 
 def _match_split(X: FanoThreefold, c1: int, c2: int) -> tuple[int, int] | None:
@@ -120,12 +129,15 @@ def classify_rank2(X: FanoThreefold, c1: int, c2: int) -> Rank2Verdict:
     (c1 odd) and of S_E (c1 even), then the split pair O(a) + O(b).  The
     four families are disjoint (c2 mod d separates split from the models,
     parity separates S_C, and S_L/S_E twists differ by 1 in c2), so the
-    first match is the only one.
+    first match is the only one.  Each model's twist solves c1 = b1 + 2t
+    by parity, its base (b1, b2) read from the rule table.
     """
-    for family in _MODEL_FAMILIES:
-        t = _match_model(X, family, c1, c2)
-        if t is not None:
-            return TwistOf(family, t)
+    d = X.d
+    for family, (b1, b2) in _rule_table(d).items():
+        if not (c1 - b1) % 2:
+            t = (c1 - b1) // 2
+            if _model_c2(d, b1, b2, t) == c2:
+                return TwistOf(family, t)
     ab = _match_split(X, c1, c2)
     if ab is not None:
         return SplitLineBundles(*ab)

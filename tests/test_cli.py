@@ -901,6 +901,200 @@ def test_oracle_json_is_json_dumps_of_its_payload(d, rank, c1):
     )
 
 
+# --- csv encoding ----------------------------------------------------------------------
+
+def _csv_writer_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+# Any text but "\r", which csv.writer quotes from Python 3.13 on and not
+# before (no CLI field can hold one), with the characters that need quoting
+# drawn often.
+_CSV_FIELDS = st.text(st.sampled_from([",", '"', "\n", " ", "a"])
+                      | st.characters(exclude_characters="\r"), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CSV_FIELDS, min_size=1, max_size=6))
+@example([""])
+@example(["", ""])
+@example(["", "x", ""])
+@example(['say "hi"', "3,4,5", "two\nlines", '"', ""])
+def test_csv_quote_joined_is_csv_writer_row(row):
+    expected = _csv_writer_text([row])
+    if row == [""]:
+        # csv.writer writes a row whose only field is empty as "", which a
+        # join of quoted fields does not; every CLI csv row has 6 or more
+        assert expected == '""\n'
+    else:
+        assert ",".join(map(cli._csv_quote, row)) + "\n" == expected
+
+
+# The csv makers each handler had before csv answers became "%" fills: the
+# header and rows that csv.writer wrote.  Each csv answer is compared with
+# their output.
+
+def _old_csv_chi(X, args):
+    c = ChernData(args.rank, args.c1, args.c2, args.c3)
+    value = chi_twist(c, X, args.twist)
+    return (
+        ["d", "rank", "c1", "c2", "c3", "twist", "chi"],
+        [[X.d, c.rank, c.c1, c.c2, c.c3, args.twist, format_rational(value)]],
+    )
+
+
+def _old_csv_twist(X, args):
+    c = ChernData(args.rank, args.c1, args.c2, args.c3)
+    out = twist(c, X, args.t)
+    return (
+        ["d", "rank", "c1", "c2", "c3", "t", "rank_out", "c1_out", "c2_out", "c3_out"],
+        [[X.d, c.rank, c.c1, c.c2, c.c3, args.t, out.rank, out.c1, out.c2, out.c3]],
+    )
+
+
+def _old_csv_classify2(X, args):
+    verdict = classify_rank2(X, args.c1, args.c2)
+    row = [X.d, args.c1, args.c2, verdict.kind, "", "", ""]
+    if isinstance(verdict, TwistOf):
+        row[4] = verdict.twist
+    elif isinstance(verdict, SplitLineBundles):
+        row[5], row[6] = verdict.a, verdict.b
+    return ["d", "c1", "c2", "kind", "twist", "a", "b"], [row]
+
+
+def _old_csv_witness(X, args):
+    dec = witness(X, args.rank, args.c1)
+    report = validate_witness(X, dec, args.rank, args.c1)
+    total = report.total
+    return (
+        ["d", "rank", "c1", "decomposition", "c2", "c3", "valid"],
+        [[X.d, args.rank, args.c1, dec.render(), total.c2, total.c3, report.ok]],
+    )
+
+
+def _old_csv_verify_table(X, args):
+    rows = catalog.table_export_rows(X)
+    columns = catalog.TABLE_EXPORT_COLUMNS
+    return columns, [[row[c] for c in columns] for row in rows]
+
+
+def _old_csv_oracle(X, args):
+    decs = oracle_enumerate(X, args.rank, args.c1, bound=args.bound)
+    return (
+        ["d", "rank", "c1", "decomposition", "c2", "c3"],
+        [[X.d, args.rank, args.c1, dec.render(), c.c2, c.c3]
+         for dec in decs for c in (dec.chern(X),)],
+    )
+
+
+_OLD_CSV = {
+    "chi": _old_csv_chi, "twist": _old_csv_twist, "classify2": _old_csv_classify2,
+    "witness": _old_csv_witness, "verify-table": _old_csv_verify_table,
+    "oracle": _old_csv_oracle,
+}
+
+
+def _csv_answer_is_reference(argv: list[str], code: int = 0) -> None:
+    """run(argv) in csv prints what csv.writer wrote of the old maker's
+    header and rows."""
+    argv = argv + ["--format", "csv"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == code
+    args = cli._parse_plain(argv)
+    X = None if args.d is None else FanoThreefold(args.d)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the rows' ints may be longer than 4300 digits
+    try:
+        header, rows = _OLD_CSV[argv[0]](X, args)
+        expected = _csv_writer_text([header, *rows])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.getvalue() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_D, _RANK_3_UP, _ANY_INT, _ANY_INT, _ANY_INT, _ANY_INT)
+@example(3, 3, 0, 0, 1, 0)  # chi = 7/2
+def test_chi_csv_matches_reference_renderer(d, rank, c1, c2, c3, tw):
+    _csv_answer_is_reference(
+        ["chi", "--d", str(d), "--rank", str(rank), "--c1", str(c1), "--c2", str(c2),
+         "--c3", str(c3), "--twist", str(tw)],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_D, _RANK_3_UP, _ANY_INT, _ANY_INT, _ANY_INT, _ANY_INT)
+def test_twist_csv_matches_reference_renderer(d, rank, c1, c2, c3, t):
+    _csv_answer_is_reference(
+        ["twist", "--d", str(d), "--rank", str(rank), "--c1", str(c1), "--c2", str(c2),
+         "--c3", str(c3), "--t", str(t)],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rank2_queries())
+def test_classify2_csv_matches_reference_renderer(query):
+    d, kind, c = query
+    verdict = classify_rank2(FanoThreefold(d), c.c1, c.c2)
+    assume(kind != "none" or verdict.kind == "none")
+    _csv_answer_is_reference(
+        ["classify2", "--d", str(d), "--c1", str(c.c1), "--c2", str(c.c2)],
+        code=2 if kind == "none" else 0,
+    )
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_classify2_csv_matches_reference_renderer_for_every_verdict_kind(d):
+    X, kinds = FanoThreefold(d), set()
+    for c1 in range(-6, 7):
+        for c2 in range(-40, 41):
+            kind = classify_rank2(X, c1, c2).kind
+            kinds.add(kind)
+            _csv_answer_is_reference(
+                ["classify2", "--d", str(d), "--c1", str(c1), "--c2", str(c2)],
+                code=2 if kind == "none" else 0,
+            )
+    assert kinds == {"TwistOfSL", "TwistOfSC", "TwistOfSE", "split", "none"}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_witness_csv_matches_reference_renderer(d):
+    for rank in (3, 4, 5, 7, 8, 13, 20, 57, 118, 601, 2500):
+        lowest = -(-rank // d)
+        for c1 in sorted({lowest, lowest + 1, (lowest + rank) // 2, rank - 1, rank}):
+            _csv_answer_is_reference(
+                ["witness", "--d", str(d), "--rank", str(rank), "--c1", str(c1)]
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_witness_csv_matches_reference_renderer_anywhere(data):
+    d = data.draw(st.sampled_from([3, 4, 5]), label="d")
+    rank = data.draw(st.integers(3, 5000), label="rank")
+    c1 = data.draw(st.integers(-(-rank // d), rank), label="c1")
+    _csv_answer_is_reference(["witness", "--d", str(d), "--rank", str(rank), "--c1", str(c1)])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_oracle_csv_matches_reference_renderer(d):
+    for rank in range(15):
+        for c1 in range(rank + 1):
+            _csv_answer_is_reference(
+                ["oracle", "--d", str(d), "--rank", str(rank), "--c1", str(c1), "--bound", "14"]
+            )
+
+
+@pytest.mark.parametrize("argv", [["verify-table"]] + [
+    ["verify-table", "--d", str(d)] for d in (3, 4, 5)
+])
+def test_verify_table_csv_matches_reference_renderer(argv):
+    _csv_answer_is_reference(argv)
+
+
 # --- determinism -------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -1226,7 +1420,7 @@ print(seen)
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[[], [], ['csv'], ['json', 'csv']]\n"
+    assert result.stdout == "[[], [], [], ['json']]\n"
 
 
 def test_verify_table_csv_matches_golden_file(capsys):

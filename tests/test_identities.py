@@ -21,7 +21,12 @@ sp = pytest.importorskip("sympy")
 
 from fano_acm import (  # noqa: E402
     BLOCKS,
+    BlockId,
     ChernData,
+    FanoThreefold,
+    Family,
+    TwistOf,
+    block_chern,
     chi_twist,
     curve_invariants,
     dual,
@@ -33,6 +38,7 @@ from fano_acm import (  # noqa: E402
     whitney_power,
     whitney_sum,
 )
+from fano_acm import rank2  # noqa: E402
 from fano_acm.catalog import _linear_in_d, _whitney_total  # noqa: E402
 
 
@@ -275,6 +281,65 @@ def test_twist_distributes_over_whitney_sums():
     assert twist(whitney_sum(a, b, X), X, t) == whitney_sum(
         twist(a, X, t), twist(b, X, t), X
     )
+
+
+# --- the rank-2 rule table ------------------------------------------------------------
+
+_MODEL_FAMILIES = (Family.SL, Family.SC, Family.SE)
+
+
+def test_rank2_rule_table_holds_each_model_base_at_any_d():
+    # the base (c1, c2) of S_L, S_C and S_E, as polynomials in d, are free
+    # of d, so the tables of the three degrees are equal
+    tables = [rank2._rule_table(n) for n in (3, 4, 5)]
+    assert tables[0] == tables[1] == tables[2]
+    assert list(tables[0]) == list(_MODEL_FAMILIES)
+    for family, (b1, b2) in tables[0].items():
+        base = BLOCKS[family].base_chern(X)
+        assert (base.rank, base.c1, base.c2, base.c3) == (2, b1, b2, 0), family
+
+
+def test_rank2_rule_c2_is_the_rank_2_twist():
+    # the rule's c2 of a model's twist by t is chow.twist's, d and t symbolic
+    for family, (b1, b2) in rank2._rule_table(3).items():
+        assert rank2._model_c2(d, b1, b2, t) == twist(ChernData(2, b1, b2, 0), X, t).c2, family
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classify_rank2_solves_each_model_twist(n):
+    # on V_n, with t symbolic: classify_rank2 finds each model's twist by t
+    # from its twisted (c1, c2), and TwistOf.chern gives those classes back
+    V = FanoThreefold(n)
+    for family in _MODEL_FAMILIES:
+        c = twist(block_chern(BlockId(family), V), V, t)
+        assert rank2.classify_rank2(V, c.c1, c.c2) == TwistOf(family, t)
+        assert TwistOf(family, t).chern(V) == c
+
+
+def _times_d(e) -> bool:
+    """Whether e is d times a polynomial with integer coefficients."""
+    q = sp.cancel(Exact._of(e) / d.e)
+    return q.is_polynomial(*q.free_symbols) and all(
+        c.is_integer for c in sp.Poly(q, *sorted(q.free_symbols, key=str)).coeffs()
+    )
+
+
+def test_rank2_families_are_disjoint():
+    # classify_rank2 takes the first match, which is then the only one.
+    # Split sums O(a) + O(b) have c2 = d a b = 0 mod d.  A model's twist by
+    # t has c1 = b1 + 2t and c2 = b2 mod d: S_C's b1 is odd, so its c1 is
+    # odd; S_L and S_E have even c1 and, at the same c1, the same t and
+    # c2 = 1 + d t^2 and 2 + d t^2, neither 0 mod d as d >= 3.
+    a, b = _symbols("a b")
+    assert _times_d(whitney_sum(ChernData.line_bundle(a), ChernData.line_bundle(b), X).c2)
+    table = rank2._rule_table(3)
+    for family, (b1, b2) in table.items():
+        assert _divides(2, Exact._of(twist(ChernData(2, b1, b2, 0), X, t).c1 - b1))
+        assert _times_d(rank2._model_c2(d, b1, b2, t) - b2) and 0 < b2 < 3, family
+    assert table[Family.SC][0] % 2 == 1
+    assert table[Family.SL][0] == table[Family.SE][0] == 0
+    assert rank2._model_c2(d, 0, table[Family.SL][1], t) == 1 + d * t * t
+    assert rank2._model_c2(d, 0, table[Family.SE][1], t) == 2 + d * t * t
 
 
 # --- twists from the splitting principle ------------------------------------------
