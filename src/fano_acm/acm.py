@@ -32,8 +32,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .catalog import (
-    BlockId, Decomposition, Family, _F31, _F41, _F51, _SC1, _SE1, _block_rank_c1,
-    _unavailable_and_trivial, block_available, table1_rows,
+    BLOCKS, BlockId, Decomposition, Family, _F31, _F41, _F51, _SC1, _SE1, _block_rank_c1,
+    block_available, table1_rows,
 )
 from .chow import ChernData, FanoThreefold, curve_invariants, forced_c2, forced_c3
 
@@ -284,6 +284,7 @@ class Check(namedtuple("Check", "name passed detail")):
 
 
 _CHECK_NAMES = ("availability", "rank", "c1", "c2_c3_forced", "no_trivial_summands")
+_OV = Family.OV  # a global read is several times cheaper than the enum's attribute
 
 
 class ValidationReport(
@@ -332,7 +333,14 @@ def validate_witness(
     All five verdicts are decided here, on the exact Whitney total."""
     total = dec.chern(X)
     forced = (forced_c2(X, rank, c1), forced_c3(X, rank, c1))
-    unavailable, trivial = _unavailable_and_trivial(dec.counts, X)
+    d, unavailable, trivial = X.d, [], 0
+    for b, k in dec.counts:
+        family = b.family
+        if d not in BLOCKS[family].d_set:  # block_available, inlined
+            unavailable.append(family.value)
+        if family is _OV:
+            trivial += k
+    unavailable = tuple(sorted(set(unavailable))) if unavailable else ()
     verdicts = (
         not unavailable,
         total.rank == rank,
@@ -357,17 +365,18 @@ _ORACLE_FAMILIES = (Family.F31, Family.F32, Family.F33, Family.F41, Family.F51, 
 
 
 def _oracle_blocks(X: FanoThreefold) -> list[BlockId]:
-    blocks = [_SC1, _SE1]
-    blocks += [BlockId(f) for f in _ORACLE_FAMILIES if block_available(f, X)]
-    return sorted(blocks, key=BlockId.sort_key)
+    """The eligible blocks on X in ascending BlockId.sort_key order:
+    S_C(1), S_E(1), then the available families of _ORACLE_FAMILIES."""
+    return [_SC1, _SE1] + [BlockId(f) for f in _ORACLE_FAMILIES if block_available(f, X)]
 
 
 def oracle_enumerate(
     X: FanoThreefold, rank: int, c1: int, bound: int = ORACLE_DEFAULT_BOUND
 ) -> list[Decomposition]:
     """All multisets of eligible blocks with rank sum r and c1 sum c1,
-    by exhaustive search.  Raises BoundExceeded for rank above
-    ORACLE_MAX_RANK or ``bound``, then InvalidRank for a negative rank."""
+    by exhaustive search, in Decomposition.sort_key order.  Raises
+    BoundExceeded for rank above ORACLE_MAX_RANK or ``bound``, then
+    InvalidRank for a negative rank."""
     if rank > ORACLE_MAX_RANK:
         raise BoundExceeded(f"rank {rank} exceeds the oracle ceiling {ORACLE_MAX_RANK}")
     if rank > bound:
@@ -386,10 +395,13 @@ def oracle_enumerate(
             if c1_left == 0:
                 found.append(Decomposition(counts=tuple(chosen)))
             return
+        # candidates ascend in key and each is tried from most copies down
+        # to one, so results come out in Decomposition.sort_key order
         for i in range(start, len(candidates)):
             b, br, bc1 = candidates[i]
-            r, c, k = r_left - br, c1_left - bc1, 1
-            while r >= 0:
+            k = r_left // br
+            r, c = r_left - k * br, c1_left - k * bc1
+            while k:
                 # every candidate has r/d <= c1 <= r, so every sum of them
                 # has too: a remainder outside that range (_lowest_c1 <= c
                 # <= r, cross-multiplied) cannot be filled
@@ -397,7 +409,7 @@ def oracle_enumerate(
                     chosen.append((b, k))
                     search(i + 1, r, c, chosen)
                     chosen.pop()
-                r, c, k = r - br, c - bc1, k + 1
+                r, c, k = r + br, c + bc1, k - 1
 
     search(0, rank, c1, [])
-    return sorted(found, key=Decomposition.sort_key)
+    return found

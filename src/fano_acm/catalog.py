@@ -24,7 +24,6 @@ import enum
 import functools
 from collections import namedtuple
 from collections.abc import Callable
-from operator import itemgetter
 
 from .chow import (
     ChernData, FanoThreefold, InternalError, _Record, _moments, _whitney_total, euler_char,
@@ -218,51 +217,29 @@ def block_chern(block: BlockId, X: FanoThreefold) -> ChernData:
     return _block_data(block, X)[0]
 
 
-def _block_entry(family: Family, X: FanoThreefold, c: ChernData) -> tuple:
-    """A block table entry, for the family's block with Chern data c:
-    (c, *_moments(c), available on X, is O_V)."""
-    return (c, *_moments(c), block_available(family, X), family is Family.OV)
-
-
 @functools.cache
 def _block_table(d: int) -> dict[tuple[int, int], tuple]:
-    """The entries of every family at twists 0 and 1 on V_d, keyed by
-    BlockId._key; built on first use."""
-    X = FanoThreefold(d)
+    """The entries (c, *_moments(c)) of every family at twists 0 and 1 on
+    V_d, available there or not (see BLOCKS), keyed by BlockId._key; built
+    on first use."""
+    X = _VARIETIES[d - 3]
     table = {}
     for family, order in _FAMILY_ORDER.items():
         base = BLOCKS[family].base_chern(X)
-        table[order, 0] = _block_entry(family, X, base)
-        table[order, 1] = _block_entry(family, X, twist(base, X, 1))
+        for t, c in ((0, base), (1, twist(base, X, 1))):
+            table[order, t] = (c, *_moments(c))
     return table
 
 
 def _block_data(block: BlockId, X: FanoThreefold) -> tuple:
     """The block's table entry on X; at twists the table does not hold,
-    built on each call from the twisted base entry.  The formulas evaluate
-    at any d, whether the block is available there or not."""
+    built on each call from the twisted base entry."""
     table = _block_table(X.d)
     entry = table.get(block._key)
     if entry is None:
-        base = table[block._key[0], 0][0]
-        entry = _block_entry(block.family, X, twist(base, X, block.twist))
+        c = twist(table[block._key[0], 0][0], X, block.twist)
+        entry = (c, *_moments(c))
     return entry
-
-
-def _unavailable_and_trivial(
-    counts: tuple[tuple[BlockId, int], ...], X: FanoThreefold
-) -> tuple[tuple[str, ...], int]:
-    """The sorted names of the families among ``counts`` not available on
-    X, and the number of O_V summands, in one pass over the blocks' entries."""
-    table = _block_table(X.d)
-    unavailable, trivial = [], 0
-    for b, k in counts:
-        entry = table.get(b._key) or _block_data(b, X)
-        if not entry[8]:
-            unavailable.append(b.family.value)
-        if entry[9]:
-            trivial += k
-    return (tuple(sorted(set(unavailable))) if unavailable else ()), trivial
 
 
 def _block_rank_c1(block: BlockId) -> tuple[int, int]:
@@ -312,20 +289,13 @@ class Decomposition(_Record):
         else:
             _set_counts(self, tuple(self.counts))
             return
-        counts: list[tuple[BlockId, int]] = []
-        last = None
-        keyed = sorted([(b._key, b, k) for b, k in self.counts], key=itemgetter(0))
-        for key, b, k in keyed:
+        merged: dict[tuple[int, int], tuple[BlockId, int]] = {}
+        for b, k in self.counts:
             if k < 0:
                 raise ValueError(f"negative count {k} of {b.render()}")
-            if not k:
-                continue
-            if key == last:
-                counts[-1] = (counts[-1][0], counts[-1][1] + k)
-            else:
-                counts.append((b, k))
-                last = key
-        _set_counts(self, tuple(counts))
+            if k:
+                merged[b._key] = (b, merged.get(b._key, (b, 0))[1] + k)
+        _set_counts(self, tuple(merged[key] for key in sorted(merged)))
 
     @property
     def blocks(self) -> tuple[BlockId, ...]:
@@ -362,7 +332,7 @@ class Decomposition(_Record):
         table = _block_table(X.d)
         rank = s1 = s2 = s3 = sum_c2 = sum_c3 = sum_c1c2 = 0
         for b, k in counts:
-            _, r, a, a2, a3, c2, c3, ac2, _, _ = table.get(b._key) or _block_data(b, X)
+            _, r, a, a2, a3, c2, c3, ac2 = table.get(b._key) or _block_data(b, X)
             rank += k * r
             s1 += k * a
             s2 += k * a2
@@ -479,7 +449,7 @@ def _table_columns(d: int | None) -> tuple[tuple[TableRow, dict, tuple, tuple], 
             printed = (str(row.c2_printed), str(row.c3_printed))
             check = tuple(tuple(map(p, (3, 4, 5))) for p in (row.c2_printed, row.c3_printed))
         elif d in row.d_set:
-            X = FanoThreefold(d)
+            X = _VARIETIES[d - 3]
             printed = (row.c2_printed(d), row.c3_printed(d))
             check = (forced_c2(X, row.rank, row.c1), forced_c3(X, row.rank, row.c1))
         else:

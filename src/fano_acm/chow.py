@@ -49,9 +49,9 @@ Rational = Fraction
 
 
 def format_rational(q: Fraction | int) -> str:
-    """Render a rational as "p/q" reduced, or as a bare integer when q = 1,
-    as str of a Fraction does; a Fraction is not built again."""
-    return str(q if isinstance(q, Fraction) else Fraction(q))
+    """Render a rational as "p/q" reduced, or as a bare integer when q = 1:
+    str of an int and of an equal Fraction are the same text."""
+    return str(q)
 
 
 def _binom2(n: int) -> int:

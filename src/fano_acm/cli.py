@@ -525,8 +525,8 @@ def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
 
 @functools.cache
 def _build_parser():
-    """The top-level argparse parser and each subcommand's parser by name.
-    Built on first need: a plain argv needs neither argparse nor a parser."""
+    """The argparse parser of every argv that is not plain.  Built on first
+    need: a plain argv needs neither argparse nor a parser."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -545,7 +545,7 @@ def _build_parser():
         for flag, options in _flags(name):
             p.add_argument(flag, **options)
         p.set_defaults(func=handler)
-    return parser, sub.choices
+    return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -553,12 +553,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_plain(argv)
     if args is None:
-        parser, commands = _build_parser()
         try:
-            if argv and argv[0] in commands:
-                args = commands[argv[0]].parse_args(argv[1:], SimpleNamespace())
-            else:
-                args = parser.parse_args(argv, SimpleNamespace())
+            args = _build_parser().parse_args(argv, SimpleNamespace())
         except _UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -18,7 +18,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .catalog import BlockId, Family, block_chern
+from .catalog import _VARIETIES, BlockId, Family, block_chern
 from .chow import ChernData, FanoThreefold, whitney_sum
 
 __all__ = [
@@ -95,7 +95,7 @@ Rank2Verdict = TwistOf | SplitLineBundles | NoACMBundle
 def _rule_table(d: int) -> dict[Family, tuple[int, int]]:
     """The base (c1, c2) of S_L, S_C and S_E on V_d, in the order
     classify_rank2 tries them; built on first use."""
-    X = FanoThreefold(d)
+    X = _VARIETIES[d - 3]
     return {
         family: (c.c1, c.c2)
         for family in _MODEL_FAMILIES for c in (block_chern(BlockId(family), X),)

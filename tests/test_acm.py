@@ -771,6 +771,26 @@ def test_oracle_deterministic_order():
     assert decs == oracle_enumerate(FanoThreefold(5), 7, 2)
 
 
+# about 0.6 s for the three degrees on a 2-vCPU VM
+_ORDER_MAX_RANK = 30
+
+
+def test_oracle_results_come_out_in_canonical_order_without_a_sort():
+    # the search tries candidates in ascending key and each from most
+    # copies down to one; nothing sorts its results afterwards
+    n = 0
+    for X in VARIETIES:
+        blocks = _oracle_blocks(X)
+        assert blocks == sorted(blocks, key=BlockId.sort_key)
+        for r in range(0, _ORDER_MAX_RANK + 1):
+            for c1 in range(-1, r + 2):
+                found = oracle_enumerate(X, r, c1, bound=60)
+                assert found == sorted(found, key=Decomposition.sort_key), (X.d, r, c1)
+                assert len(set(found)) == len(found), (X.d, r, c1)
+                n += len(found)
+    assert n == 39835
+
+
 def test_every_eligible_block_has_rank_at_most_d_c1():
     # so every sum of eligible blocks has r <= d c1 too: the census's
     # relaxed-only rows, where d c1 = r - 1, are out of the catalog's reach

@@ -527,12 +527,10 @@ def test_block_table_matches_its_sources():
                 block = BlockId(family, t)
                 entry = table[block._key]
                 assert entry is _block_data(block, X)
-                c, rank, c1, c1_sq, c1_cube, c2, c3, c1c2, available, trivial = entry
+                c, rank, c1, c1_sq, c1_cube, c2, c3, c1c2 = entry
                 assert c == chern and type(c) is ChernData
                 assert (rank, c1, c2, c3) == chern.tuple()
                 assert (c1_sq, c1_cube, c1c2) == (c1**2, c1**3, c1 * c2)
-                assert available is block_available(family, X)
-                assert trivial is (family is Family.OV)
 
 
 def test_linear_in_d_rejects_three_points_off_a_line():
