@@ -142,67 +142,41 @@ class DPoly(namedtuple("DPoly", "const d_coeff", defaults=(0,))):
         return f"{head}{sign}{abs(self.const)}"
 
 
-# Tail classes (c2, c3) at twist 0, as polynomials in d.
-_BASE_TAIL: dict[Family, tuple[DPoly, DPoly]] = {
-    Family.OV: (DPoly(0), DPoly(0)),
-    Family.SL: (DPoly(1), DPoly(0)),
-    Family.SC: (DPoly(2), DPoly(0)),
-    Family.SE: (DPoly(2), DPoly(0)),
-    Family.F31: (DPoly(3), DPoly(1)),
-    Family.F32: (DPoly(3, 1), DPoly(2)),
-    Family.F33: (DPoly(3, 3), DPoly(3, 1)),
-    Family.F41: (DPoly(4), DPoly(2)),
-    Family.F51: (DPoly(5), DPoly(3)),
-    Family.F72: (DPoly(12), DPoly(10)),
-}
-
 _ALL_D = frozenset({3, 4, 5})
 _VARIETIES = (FanoThreefold(3), FanoThreefold(4), FanoThreefold(5))
 
+# One row per block family: its rank and c1, its c2 and c3 at twist 0 as
+# polynomials in d, the degrees it is available on, and its provenance.
+# BLOCKS and _BASE_TAIL are both read off these rows.
+_FAMILY_ROWS = (
+    (Family.OV, 1, 0, DPoly(0), DPoly(0), _ALL_D, "trivial line bundle"),
+    (Family.SL, 2, 0, DPoly(1), DPoly(0), _ALL_D,
+     "Serre construction on a line: 0 -> O -> S_L -> I_L -> 0"),
+    (Family.SC, 2, -1, DPoly(2), DPoly(0), _ALL_D,
+     "Serre construction on a conic: 0 -> O(-1) -> S_C -> I_C -> 0"),
+    (Family.SE, 2, 0, DPoly(2), DPoly(0), _ALL_D,
+     "Serre construction on an elliptic curve of degree d+2"),
+    (Family.F31, 3, 1, DPoly(3), DPoly(1), _ALL_D,
+     "rank-3 bundle from a rational normal cubic: 0 -> O^2 -> F -> I_D(1) -> 0"),
+    (Family.F32, 3, 2, DPoly(3, 1), DPoly(2), _ALL_D,
+     "second exterior power of F_{3,1}, isomorphic to F_{3,1}*(1)"),
+    (Family.F33, 3, 3, DPoly(3, 3), DPoly(3, 1), _ALL_D,
+     "rank-3 bundle from a curve of degree 3d+3 and genus 2d+4 "
+     "obtained by liaison from sections of S_L(2) and S_C(3)"),
+    (Family.F41, 4, 1, DPoly(4), DPoly(2), frozenset({4, 5}),
+     "rank-4 bundle from a rational normal quartic "
+     "(census-listed for d = 4, 5, where h0 >= rank holds)"),
+    (Family.F51, 5, 1, DPoly(5), DPoly(3), frozenset({5}),
+     "rank-5 bundle from a rational normal quintic on V_5"),
+    (Family.F72, 7, 2, DPoly(12), DPoly(10), frozenset({5}),
+     "dual of the kernel of the evaluation O^10 ->> F_{3,2} on V_5"),
+)
+
 BLOCKS: dict[Family, BlockSpec] = {
-    spec.family: spec
-    for spec in (
-        BlockSpec(Family.OV, 1, 0, _ALL_D, "trivial line bundle"),
-        BlockSpec(
-            Family.SL, 2, 0, _ALL_D,
-            "Serre construction on a line: 0 -> O -> S_L -> I_L -> 0",
-        ),
-        BlockSpec(
-            Family.SC, 2, -1, _ALL_D,
-            "Serre construction on a conic: 0 -> O(-1) -> S_C -> I_C -> 0",
-        ),
-        BlockSpec(
-            Family.SE, 2, 0, _ALL_D,
-            "Serre construction on an elliptic curve of degree d+2",
-        ),
-        BlockSpec(
-            Family.F31, 3, 1, _ALL_D,
-            "rank-3 bundle from a rational normal cubic: 0 -> O^2 -> F -> I_D(1) -> 0",
-        ),
-        BlockSpec(
-            Family.F32, 3, 2, _ALL_D,
-            "second exterior power of F_{3,1}, isomorphic to F_{3,1}*(1)",
-        ),
-        BlockSpec(
-            Family.F33, 3, 3, _ALL_D,
-            "rank-3 bundle from a curve of degree 3d+3 and genus 2d+4 "
-            "obtained by liaison from sections of S_L(2) and S_C(3)",
-        ),
-        BlockSpec(
-            Family.F41, 4, 1, frozenset({4, 5}),
-            "rank-4 bundle from a rational normal quartic "
-            "(census-listed for d = 4, 5, where h0 >= rank holds)",
-        ),
-        BlockSpec(
-            Family.F51, 5, 1, frozenset({5}),
-            "rank-5 bundle from a rational normal quintic on V_5",
-        ),
-        BlockSpec(
-            Family.F72, 7, 2, frozenset({5}),
-            "dual of the kernel of the evaluation O^10 ->> F_{3,2} on V_5",
-        ),
-    )
+    family: BlockSpec(family, rank, c1, d_set, provenance)
+    for family, rank, c1, _, _, d_set, provenance in _FAMILY_ROWS
 }
+_BASE_TAIL: dict[Family, tuple[DPoly, DPoly]] = {row[0]: row[3:5] for row in _FAMILY_ROWS}
 
 
 def block_available(family: Family, X: FanoThreefold) -> bool:

@@ -36,8 +36,8 @@ from itertools import chain, islice
 from types import SimpleNamespace
 
 from .acm import (
-    NotAdmissible, ORACLE_DEFAULT_BOUND, _CHECK_NAMES, _admissible_rows, enumerate_admissible,
-    oracle_enumerate, validate_witness, witness,
+    AdmissibleTriple, NotAdmissible, ORACLE_DEFAULT_BOUND, _CHECK_NAMES, _admissible_rows,
+    enumerate_admissible, oracle_enumerate, validate_witness, witness,
 )
 from .catalog import (
     TABLE_EXPORT_COLUMNS, _VARIETIES, Decomposition, _checked_rows, table_export_rows,
@@ -220,11 +220,11 @@ _ORACLE_CSV_COLUMNS = ("d", "rank", "c1", "decomposition", "c2", "c3")
 _ORACLE_CSV_ROW = _csv_row(_ORACLE_CSV_COLUMNS)
 _TABLE_CSV_ROW = _csv_row(TABLE_EXPORT_COLUMNS)
 
-_TRIPLE_HEADER = ("d", "rank", "c1", "c2", "c3", "curve_degree", "curve_genus")
+_TRIPLE_HEADER = AdmissibleTriple._fields
 _EXISTENCE = (("False", "unknown"), ("True", "witnessed"))
 
-# Row templates per format for a (d, rank, c1, c2, c3, curve_degree,
-# curve_genus) row; "%.0s" drops a value, and csv and human need no quoting.
+# Row templates per format for a row of AdmissibleTriple's fields; "%.0s"
+# drops a value, and csv and human need no quoting.
 # A census row adds its strict and existence values: (not strict, strict).
 _TRIPLE_ROW = {
     "json": _json_template(_TRIPLE_HEADER, 2),

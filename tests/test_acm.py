@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from itertools import combinations_with_replacement
 
 import pytest
@@ -59,6 +60,7 @@ from fano_acm.acm import (
     _oracle_blocks,
     _peel_counts,
 )
+from fano_acm import acm, catalog, chow, cli, rank2
 from fano_acm.catalog import _block_rank_c1
 from fano_acm.cli import _Result
 from support import VARIETIES
@@ -548,6 +550,20 @@ def test_import_does_not_load_typing():
         assert (result.returncode, result.stdout) == (0, "[]\n"), (module, result.stderr)
 
 
+def test_package_exports_exactly_the_modules_public_names():
+    # __init__ re-exports each module's __all__ and names nothing itself
+    public = {
+        name for name, value in vars(fano_acm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    modules = (chow, catalog, rank2, acm)
+    assert public == {name for module in modules for name in module.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(fano_acm, name) is getattr(module, name), (module, name)
+    assert not public & set(cli.__all__)
+
+
 _RECORDS = [
     # (type, positional arguments, the same as keywords, repr)
     (FanoThreefold, (3,), {"d": 3}, "FanoThreefold(d=3)"),
@@ -780,7 +796,7 @@ def test_oracle_results_come_out_in_canonical_order_without_a_sort():
     # copies down to one; nothing sorts its results afterwards
     n = 0
     for X in VARIETIES:
-        blocks = _oracle_blocks(X)
+        blocks = [b for b, _, _ in _oracle_blocks(X.d)]
         assert blocks == sorted(blocks, key=BlockId.sort_key)
         for r in range(0, _ORDER_MAX_RANK + 1):
             for c1 in range(-1, r + 2):
@@ -795,10 +811,12 @@ def test_every_eligible_block_has_rank_at_most_d_c1():
     # so every sum of eligible blocks has r <= d c1 too: the census's
     # relaxed-only rows, where d c1 = r - 1, are out of the catalog's reach
     for X in VARIETIES:
-        blocks = _oracle_blocks(X)
+        blocks = _oracle_blocks(X.d)
         assert blocks
-        for b in blocks:
-            rank, c1 = _block_rank_c1(b)
+        # the table is built once per degree and read by every call
+        assert _oracle_blocks(X.d) is blocks
+        for b, rank, c1 in blocks:
+            assert (rank, c1) == _block_rank_c1(b), (X.d, b)
             assert rank <= X.d * c1, (X.d, b)
 
 
@@ -826,8 +844,8 @@ def test_block_sums_reach_exactly_the_admissible_range():
     below = (1 << (R + 1)) - 1
     for X in VARIETIES:
         reach = [1] + [0] * R  # the empty sum
-        for b in _oracle_blocks(X):
-            br, bc = _block_rank_c1(b)
+        for b, br, bc in _oracle_blocks(X.d):
+            assert (br, bc) == _block_rank_c1(b)
             assert bc >= 1
             for c in range(bc, R + 1):
                 reach[c] |= (reach[c - bc] << br) & below
