@@ -4,10 +4,11 @@ A small collection of standard bundles without intermediate cohomology
 generates, under direct sums and twists, every invariant realized at small
 rank: the rank-2 bundles S_L, S_C, S_E attached to a line, a conic and an
 elliptic curve of degree d+2, and the F_{r,c} series of higher-rank bundles.
-This module stores their exact Chern data, their availability per degree d,
-and a verbatim transcription of the classical rank <= 7 census table (one
-historically misprinted entry included).  verify_table1 recomputes every row
-and reports mismatches; the stored data is never silently corrected.
+This module builds their exact Chern data from their constructions and holds
+their availability per degree d and a verbatim transcription of the
+classical rank <= 7 census table (one historically misprinted entry
+included).  verify_table1 recomputes every row and reports mismatches; the
+stored data is never silently corrected.
 
 BlockSpec, DPoly, TableRow and Discrepancy are collections.namedtuple
 subclasses with ``__slots__ = ()``, equal to a plain tuple of their fields.
@@ -26,8 +27,8 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .chow import (
-    ChernData, FanoThreefold, InternalError, _Record, _moments, _whitney_total, euler_char,
-    forced_c2, forced_c3, twist,
+    ChernData, FanoThreefold, InternalError, _Record, _moments, _whitney_total,
+    complement_in_trivial, dual, euler_char, forced_c2, forced_c3, serre_chern, twist,
 )
 
 __all__ = [
@@ -102,15 +103,14 @@ _set_family, _set_twist, _set_key = BlockId._setters()
 
 
 class BlockSpec(namedtuple("BlockSpec", "family rank base_c1 d_set provenance")):
-    """Static data of one block family: rank, Chern data at twist 0 as a
-    function of d, availability (``d_set``, a frozenset of degrees), and a
-    short provenance note."""
+    """Static data of one block family: rank and c1 at twist 0, read off its
+    construction, availability (``d_set``, a frozenset of degrees), and a
+    short provenance note.  base_chern evaluates the construction on X."""
 
     __slots__ = ()
 
     def base_chern(self, X: FanoThreefold) -> ChernData:
-        c2, c3 = _BASE_TAIL[self.family]
-        return ChernData(self.rank, self.base_c1, c2(X.d), c3(X.d))
+        return _FAMILY_ROWS[self.family][0](X)
 
     def h0(self, X: FanoThreefold) -> int:
         # chi of the block; these blocks have no higher cohomology at twist 0
@@ -144,39 +144,46 @@ class DPoly(namedtuple("DPoly", "const d_coeff", defaults=(0,))):
 
 _ALL_D = frozenset({3, 4, 5})
 _VARIETIES = (FanoThreefold(3), FanoThreefold(4), FanoThreefold(5))
+_V5 = _VARIETIES[2]
 
-# One row per block family: its rank and c1, its c2 and c3 at twist 0 as
-# polynomials in d, the degrees it is available on, and its provenance.
-# BLOCKS and _BASE_TAIL are both read off these rows.
-_FAMILY_ROWS = (
-    (Family.OV, 1, 0, DPoly(0), DPoly(0), _ALL_D, "trivial line bundle"),
-    (Family.SL, 2, 0, DPoly(1), DPoly(0), _ALL_D,
-     "Serre construction on a line: 0 -> O -> S_L -> I_L -> 0"),
-    (Family.SC, 2, -1, DPoly(2), DPoly(0), _ALL_D,
-     "Serre construction on a conic: 0 -> O(-1) -> S_C -> I_C -> 0"),
-    (Family.SE, 2, 0, DPoly(2), DPoly(0), _ALL_D,
-     "Serre construction on an elliptic curve of degree d+2"),
-    (Family.F31, 3, 1, DPoly(3), DPoly(1), _ALL_D,
-     "rank-3 bundle from a rational normal cubic: 0 -> O^2 -> F -> I_D(1) -> 0"),
-    (Family.F32, 3, 2, DPoly(3, 1), DPoly(2), _ALL_D,
-     "second exterior power of F_{3,1}, isomorphic to F_{3,1}*(1)"),
-    (Family.F33, 3, 3, DPoly(3, 3), DPoly(3, 1), _ALL_D,
-     "rank-3 bundle from a curve of degree 3d+3 and genus 2d+4 "
-     "obtained by liaison from sections of S_L(2) and S_C(3)"),
-    (Family.F41, 4, 1, DPoly(4), DPoly(2), frozenset({4, 5}),
-     "rank-4 bundle from a rational normal quartic "
-     "(census-listed for d = 4, 5, where h0 >= rank holds)"),
-    (Family.F51, 5, 1, DPoly(5), DPoly(3), frozenset({5}),
-     "rank-5 bundle from a rational normal quintic on V_5"),
-    (Family.F72, 7, 2, DPoly(12), DPoly(10), frozenset({5}),
-     "dual of the kernel of the evaluation O^10 ->> F_{3,2} on V_5"),
-)
+
+def _serre(rank: int, c1: int, degree: DPoly, genus: DPoly, shift: int = 0) -> Callable:
+    # F(shift) for 0 -> O^{rank-1} -> F -> I_D(c1) -> 0, D of that degree and genus
+    return lambda X: twist(serre_chern(X, rank, c1, degree(X.d), genus(X.d)), X, shift)
+
+
+# One row per block family: its construction, the degrees it is available on
+# and its provenance.  BLOCKS reads rank and c1 off the construction on V_3.
+_FAMILY_ROWS: dict[Family, tuple[Callable[[FanoThreefold], ChernData], frozenset, str]] = {
+    Family.OV: (lambda X: ChernData.trivial(1), _ALL_D, "trivial line bundle"),
+    Family.SL: (_serre(2, 0, DPoly(1), DPoly(0)), _ALL_D,
+                "Serre construction on a line: 0 -> O -> S_L -> I_L -> 0"),
+    Family.SC: (_serre(2, 1, DPoly(2), DPoly(0), -1), _ALL_D,
+                "Serre construction on a conic: 0 -> O(-1) -> S_C -> I_C -> 0"),
+    Family.SE: (_serre(2, 2, DPoly(2, 1), DPoly(1), -1), _ALL_D,
+                "Serre construction on an elliptic curve of degree d+2"),
+    Family.F31: (_serre(3, 1, DPoly(3), DPoly(0)), _ALL_D,
+                 "rank-3 bundle from a rational normal cubic: 0 -> O^2 -> F -> I_D(1) -> 0"),
+    Family.F32: (lambda X: twist(dual(_FAMILY_ROWS[Family.F31][0](X)), X, 1), _ALL_D,
+                 "second exterior power of F_{3,1}, isomorphic to F_{3,1}*(1)"),
+    Family.F33: (_serre(3, 3, DPoly(3, 3), DPoly(4, 2)), _ALL_D,
+                 "rank-3 bundle from a curve of degree 3d+3 and genus 2d+4 "
+                 "obtained by liaison from sections of S_L(2) and S_C(3)"),
+    Family.F41: (_serre(4, 1, DPoly(4), DPoly(0)), frozenset({4, 5}),
+                 "rank-4 bundle from a rational normal quartic "
+                 "(census-listed for d = 4, 5, where h0 >= rank holds)"),
+    Family.F51: (_serre(5, 1, DPoly(5), DPoly(0)), frozenset({5}),
+                 "rank-5 bundle from a rational normal quintic on V_5"),
+    # on V_5, where it exists, whatever X is
+    Family.F72: (lambda X: complement_in_trivial(_FAMILY_ROWS[Family.F32][0](_V5), 10, _V5),
+                 frozenset({5}), "dual of the kernel of the evaluation O^10 ->> F_{3,2} on V_5"),
+}
 
 BLOCKS: dict[Family, BlockSpec] = {
-    family: BlockSpec(family, rank, c1, d_set, provenance)
-    for family, rank, c1, _, _, d_set, provenance in _FAMILY_ROWS
+    family: BlockSpec(family, c.rank, c.c1, d_set, provenance)
+    for family, (build, d_set, provenance) in _FAMILY_ROWS.items()
+    for c in (build(_VARIETIES[0]),)
 }
-_BASE_TAIL: dict[Family, tuple[DPoly, DPoly]] = {row[0]: row[3:5] for row in _FAMILY_ROWS}
 
 
 def block_available(family: Family, X: FanoThreefold) -> bool:

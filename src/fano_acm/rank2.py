@@ -14,7 +14,6 @@ inputs are handled correctly.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
@@ -30,9 +29,6 @@ __all__ = [
     "classify_rank2",
 ]
 
-_MODEL_FAMILIES = (Family.SL, Family.SC, Family.SE)
-
-
 class TwistOf(namedtuple("TwistOf", "family twist")):
     """The query invariants belong to family(t), family being SL, SC or SE,
     for a unique twist t."""
@@ -44,7 +40,7 @@ class TwistOf(namedtuple("TwistOf", "family twist")):
         return f"TwistOf{self.family.name}"
 
     def chern(self, X: FanoThreefold) -> ChernData:
-        b1, b2 = _rule_table(X.d)[self.family]
+        b1, b2 = _RULES[self.family]
         t = self.twist
         return ChernData(2, b1 + 2 * t, _model_c2(X.d, b1, b2, t), 0)
 
@@ -91,15 +87,12 @@ NO_ACM_BUNDLE = NoACMBundle()
 Rank2Verdict = TwistOf | SplitLineBundles | NoACMBundle
 
 
-@functools.cache
-def _rule_table(d: int) -> dict[Family, tuple[int, int]]:
-    """The base (c1, c2) of S_L, S_C and S_E on V_d, in the order
-    classify_rank2 tries them; built on first use."""
-    X = _VARIETIES[d - 3]
-    return {
-        family: (c.c1, c.c2)
-        for family in _MODEL_FAMILIES for c in (block_chern(BlockId(family), X),)
-    }
+# The base (c1, c2) of S_L, S_C and S_E in classify_rank2's order; free of d, read on V_3.
+_RULES: dict[Family, tuple[int, int]] = {
+    family: (c.c1, c.c2)
+    for family in (Family.SL, Family.SC, Family.SE)
+    for c in (block_chern(BlockId(family), _VARIETIES[0]),)
+}
 
 
 def _model_c2(d: int, b1: int, b2: int, t: int) -> int:
@@ -130,10 +123,10 @@ def classify_rank2(X: FanoThreefold, c1: int, c2: int) -> Rank2Verdict:
     four families are disjoint (c2 mod d separates split from the models,
     parity separates S_C, and S_L/S_E twists differ by 1 in c2), so the
     first match is the only one.  Each model's twist solves c1 = b1 + 2t
-    by parity, its base (b1, b2) read from the rule table.
+    by parity, its base (b1, b2) read from _RULES.
     """
     d = X.d
-    for family, (b1, b2) in _rule_table(d).items():
+    for family, (b1, b2) in _RULES.items():
         if not (c1 - b1) % 2:
             t = (c1 - b1) // 2
             if _model_c2(d, b1, b2, t) == c2:

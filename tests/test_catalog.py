@@ -73,9 +73,33 @@ def test_base_chern_data():
         Family.F51: lambda d: (5, 1, 5, 3),
         Family.F72: lambda d: (7, 2, 12, 10),
     }
+    # on every degree, available or not; BLOCKS' rank and c1 are the
+    # construction's
     for family, spec in BLOCKS.items():
-        for X in available_varieties(family):
-            assert spec.base_chern(X).tuple() == expected[family](X.d)
+        for X in VARIETIES:
+            base = spec.base_chern(X).tuple()
+            assert base == expected[family](X.d), (family, X)
+            assert (spec.rank, spec.base_c1) == base[:2], (family, X)
+
+
+def test_availability_is_h0_at_least_rank():
+    # an F family is available on V_d exactly when its h0 at twist 0 reaches
+    # its rank; O_V and the rank-2 models are available on every degree
+    h0 = {
+        Family.F31: lambda d: d,
+        Family.F32: lambda d: 2 * d,
+        Family.F33: lambda d: 3 * d,
+        Family.F41: lambda d: d,
+        Family.F51: lambda d: d,
+        Family.F72: lambda d: 4 * d - 10,
+    }
+    for family, spec in BLOCKS.items():
+        for X in VARIETIES:
+            if family in h0:
+                assert spec.h0(X) == h0[family](X.d), (family, X)
+                assert (X.d in spec.d_set) == (spec.h0(X) >= spec.rank), (family, X)
+            else:
+                assert X.d in spec.d_set, (family, X)
 
 
 def test_availability():

@@ -106,8 +106,11 @@ def _symbols(names: str, **assumptions):
     return [Exact(s) for s in sp.symbols(names, integer=True, **assumptions)]
 
 
-d, r, c1, t, c1a, c1b, p0, p1, q0, q1, u0, u1, v0, v1 = _symbols(
-    "d r c1 t c1a c1b p0 p1 q0 q1 u0 u1 v0 v1"
+# d positive, so that serre_chern's check of a curve degree such as d + 2
+# decides when a block is built from its construction
+d = Exact(sp.Symbol("d", integer=True, positive=True))
+r, c1, t, c1a, c1b, p0, p1, q0, q1, u0, u1, v0, v1 = _symbols(
+    "r c1 t c1a c1b p0 p1 q0 q1 u0 u1 v0 v1"
 )
 # ranks of at least 3 and copy counts of at least 0, so that the range checks
 # in ChernData and whitney_power decide; the formulas are polynomials in
@@ -290,18 +293,16 @@ _MODEL_FAMILIES = (Family.SL, Family.SC, Family.SE)
 
 def test_rank2_rule_table_holds_each_model_base_at_any_d():
     # the base (c1, c2) of S_L, S_C and S_E, as polynomials in d, are free
-    # of d, so the tables of the three degrees are equal
-    tables = [rank2._rule_table(n) for n in (3, 4, 5)]
-    assert tables[0] == tables[1] == tables[2]
-    assert list(tables[0]) == list(_MODEL_FAMILIES)
-    for family, (b1, b2) in tables[0].items():
+    # of d, so the one table read on V_3 serves every degree
+    assert list(rank2._RULES) == list(_MODEL_FAMILIES)
+    for family, (b1, b2) in rank2._RULES.items():
         base = BLOCKS[family].base_chern(X)
         assert (base.rank, base.c1, base.c2, base.c3) == (2, b1, b2, 0), family
 
 
 def test_rank2_rule_c2_is_the_rank_2_twist():
     # the rule's c2 of a model's twist by t is chow.twist's, d and t symbolic
-    for family, (b1, b2) in rank2._rule_table(3).items():
+    for family, (b1, b2) in rank2._RULES.items():
         assert rank2._model_c2(d, b1, b2, t) == twist(ChernData(2, b1, b2, 0), X, t).c2, family
 
 
@@ -332,7 +333,7 @@ def test_rank2_families_are_disjoint():
     # c2 = 1 + d t^2 and 2 + d t^2, neither 0 mod d as d >= 3.
     a, b = _symbols("a b")
     assert _times_d(whitney_sum(ChernData.line_bundle(a), ChernData.line_bundle(b), X).c2)
-    table = rank2._rule_table(3)
+    table = rank2._RULES
     for family, (b1, b2) in table.items():
         assert _divides(2, Exact._of(twist(ChernData(2, b1, b2, 0), X, t).c1 - b1))
         assert _times_d(rank2._model_c2(d, b1, b2, t) - b2) and 0 < b2 < 3, family
