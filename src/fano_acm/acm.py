@@ -32,10 +32,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .catalog import (
-    BLOCKS, BlockId, Decomposition, Family, _F31, _F41, _F51, _SC1, _SE1, _block_rank_c1,
-    table1_rows,
-)
+from .catalog import BLOCKS, BlockId, Decomposition, Family, _block_rank_c1, table1_rows
 from .chow import ChernData, FanoThreefold, curve_invariants, forced_c2, forced_c3
 
 __all__ = [
@@ -94,7 +91,7 @@ def _check_rank(rank: int) -> None:
 
 
 def _lowest_c1(d: int, rank: int, relaxed: bool) -> int:
-    """ceil(lower / d), the least admissible c1 at a rank >= 3, lower being
+    """ceil(lower / d), the least admissible c1 at this rank, lower being
     r, or r-1 when relaxed: the one derivation of the admissible range."""
     lower = rank - 1 if relaxed else rank
     return -(-lower // d)
@@ -190,10 +187,6 @@ def enumerate_admissible(
     return list(map(AdmissibleTriple._make, rows))
 
 
-# Rank-d block with c1 = 1, used by the third peeling case.
-_RANK_D_BLOCK = {3: _F31, 4: _F41, 5: _F51}
-
-
 # Census rows by (d, r, c1); for r <= 7 they cover every strictly admissible
 # (r, c1) and seed every witness.
 _SEEDS = {
@@ -201,18 +194,19 @@ _SEEDS = {
 }
 
 
-def _seed_plan(d: int, seed: Decomposition) -> tuple[tuple[BlockId, int, int], ...]:
-    """The seed's blocks and the three peeled blocks on V_d, in canonical
-    order, each with its count in the seed and the index of the peeled run
-    that adds to it in (S_C(1), S_E(1), rank-d), or 3 for none."""
-    plan = {b._key: (b, k, 3) for b, k in seed.counts}
-    for run, b in enumerate((_SC1, _SE1, _RANK_D_BLOCK[d])):
+@functools.cache
+def _seed_plan(key: tuple[int, int, int]) -> tuple[tuple[BlockId, int, int], ...]:
+    """The merge plan of the census row _SEEDS[key] on V_d, d = key[0],
+    built on first use: the seed's blocks and the three peeled blocks, the
+    summands of (rank, c1) = (2, 1), (2, 2) and (d, 1) in _oracle_blocks(d),
+    in canonical order, each with its count in the seed and the index of
+    the peeled run that adds to it, or 3 for none."""
+    d = key[0]
+    summands = {(r, c1): b for b, r, c1 in _oracle_blocks(d)}
+    plan = {b._key: (b, k, 3) for b, k in _SEEDS[key].counts}
+    for run, b in enumerate(summands[rc] for rc in ((2, 1), (2, 2), (d, 1))):
         plan[b._key] = (b, plan.get(b._key, (b, 0))[1], run)
-    return tuple(plan[key] for key in sorted(plan))
-
-
-# Merge plans of the census rows, by the same keys as _SEEDS.
-_SEED_PLANS = {key: _seed_plan(key[0], seed) for key, seed in _SEEDS.items()}
+    return tuple(plan[block_key] for block_key in sorted(plan))
 
 
 def _peel_counts(d: int, rank: int, c1: int) -> tuple[int, int, int]:
@@ -268,7 +262,7 @@ def witness(X: FanoThreefold, rank: int, c1: int) -> Decomposition:
     # Decomposition stores them without sorting
     peeled = (sc, se, rd, 0)
     counts = []
-    for block, k, run in _SEED_PLANS[key]:
+    for block, k, run in _seed_plan(key):
         k += peeled[run]
         if k:
             counts.append((block, k))
@@ -359,20 +353,19 @@ ORACLE_DEFAULT_BOUND = 12
 # 2-vCPU VM), and the search grows quickly past it.
 ORACLE_MAX_RANK = 60
 
-# Blocks eligible as witness summands: everything satisfying the forced-class
-# identities at its own (rank, c1).  O_V is excluded (trivial summands are
-# forbidden) and so is S_L, whose c2 = 1 differs from the forced value 2 at
-# (r, c1) = (2, 0); no witness ever uses it.
-_ORACLE_FAMILIES = (Family.F31, Family.F32, Family.F33, Family.F41, Family.F51, Family.F72)
-
-
 @functools.cache
 def _oracle_blocks(d: int) -> tuple[tuple[BlockId, int, int], ...]:
-    """(block, rank, c1) of each eligible block on V_d, in ascending
-    BlockId.sort_key order: S_C(1), S_E(1), then the families of
-    _ORACLE_FAMILIES available on V_d (see block_available)."""
-    blocks = [_SC1, _SE1] + [BlockId(f) for f in _ORACLE_FAMILIES if d in BLOCKS[f].d_set]
-    return tuple((b, *_block_rank_c1(b)) for b in blocks)
+    """(block, rank, c1) of each witness summand on V_d, in ascending
+    BlockId.sort_key order: every family at twists 0 and 1 whose one-block
+    Decomposition passes validate_witness at its own (rank, c1), with
+    r/d <= c1 <= r.  No family has that range at another twist."""
+    X, out = FanoThreefold(d), []
+    for b in [BlockId(family, t) for family in Family for t in (0, 1)]:
+        rank, c1 = _block_rank_c1(b)
+        valid = validate_witness(X, Decomposition((b,)), rank, c1).ok
+        if valid and _lowest_c1(d, rank, False) <= c1 <= rank:
+            out.append((b, rank, c1))
+    return tuple(out)
 
 
 def oracle_enumerate(

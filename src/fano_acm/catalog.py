@@ -305,14 +305,11 @@ class Decomposition(_Record):
 
     def chern(self, X: FanoThreefold) -> ChernData:
         """Whitney sum of the blocks, whether or not each is available on
-        X: one _whitney_total over the _moments in their table entries."""
-        counts = self.counts
-        if len(counts) == 1 and counts[0][1] == 1:
-            # one copy of one block, as in five census rows: its table data
-            return _block_data(counts[0][0], X)[0]
+        X: one _whitney_total over the _moments in their table entries, for
+        one block as for many."""
         table = _block_table(X.d)
         rank = s1 = s2 = s3 = sum_c2 = sum_c3 = sum_c1c2 = 0
-        for b, k in counts:
+        for b, k in self.counts:
             _, r, a, a2, a3, c2, c3, ac2 = table.get(b._key) or _block_data(b, X)
             rank += k * r
             s1 += k * a

@@ -50,7 +50,6 @@ from fano_acm import (
     witness,
 )
 from fano_acm.acm import (
-    _SEED_PLANS,
     _SEEDS,
     ENUMERATE_MAX_TRIPLES,
     ORACLE_MAX_RANK,
@@ -59,6 +58,7 @@ from fano_acm.acm import (
     _admissible_rows,
     _oracle_blocks,
     _peel_counts,
+    _seed_plan,
 )
 from fano_acm import acm, catalog, chow, cli, rank2
 from fano_acm.catalog import _block_rank_c1
@@ -363,12 +363,12 @@ def test_witness_counts_match_the_reference_merge(monkeypatch):
 
 
 def test_seed_plans_are_canonical_and_cover_every_seed():
-    assert _SEED_PLANS.keys() == _SEEDS.keys()
-    for (d, _, _), plan in _SEED_PLANS.items():
+    for key in _SEEDS:
+        plan = _seed_plan(key)
         keys = [block.sort_key() for block, _, _ in plan]
         assert keys == sorted(set(keys))
     for key, seed in _SEEDS.items():
-        plan = _SEED_PLANS[key]
+        plan = _seed_plan(key)
         assert tuple((b, k) for b, k, _ in plan if k) == seed.counts
         runs = {b: run for b, _, run in plan if run != 3}
         assert runs == {SC1: 0, SE1: 1, {3: F31, 4: F41, 5: F51}[key[0]]: 2}
@@ -818,6 +818,39 @@ def test_every_eligible_block_has_rank_at_most_d_c1():
         for b, rank, c1 in blocks:
             assert (rank, c1) == _block_rank_c1(b), (X.d, b)
             assert rank <= X.d * c1, (X.d, b)
+
+
+def test_witness_summands_are_the_catalog_blocks_the_rule_admits():
+    # _oracle_blocks derives them: one-block witnesses at their own
+    # (rank, c1), inside r/d <= c1 <= r
+    F32 = BlockId(Family.F32)
+    on_v3 = (SC1, SE1, F31, F32, F33)
+    expected = {3: on_v3, 4: on_v3 + (F41,), 5: on_v3 + (F41, F51, F72)}
+    for X in VARIETIES:
+        assert tuple(b for b, _, _ in _oracle_blocks(X.d)) == expected[X.d], X.d
+
+
+def test_each_family_has_the_admissible_range_at_twist_0_or_1_only():
+    # the twists t with ceil(r/d) <= b1 + r t <= r, solved for t; the
+    # interval has length (r - ceil(r/d)) / r < 1, so it holds at most one
+    # integer, and _oracle_blocks need try no twist but 0 and 1
+    for spec in catalog.BLOCKS.values():
+        r, b1 = spec.rank, spec.base_c1
+        for d in (3, 4, 5):
+            lowest = -(-r // d)
+            twists = range(-((b1 - lowest) // r), (r - b1) // r + 1)
+            assert len(twists) <= 1 and set(twists) <= {0, 1}, (spec.family, d)
+            for t in (*twists, twists.start - 1, twists.stop):
+                c1 = b1 + r * t
+                assert (lowest <= c1 <= r) == (t in twists), (spec.family, d, t)
+
+
+def test_one_block_decompositions_take_the_whitney_loop_to_the_block_data():
+    for X in VARIETIES:
+        for family in Family:
+            for t in (0, 1):
+                b = BlockId(family, t)
+                assert Decomposition((b,)).chern(X) == catalog._block_data(b, X)[0], (X.d, b)
 
 
 def test_oracle_finds_nothing_on_the_relaxed_only_census_rows():

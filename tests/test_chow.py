@@ -321,6 +321,14 @@ def test_curve_invariants_frozen_values():
     assert curve_invariants(FanoThreefold(5), 7, 2) == (12, 6)
 
 
+def test_curve_invariants_refuses_a_rank_below_2():
+    # r - 1 sections cut out a curve only for r >= 2
+    for X in VARIETIES:
+        for r in (1, 0, -1):
+            with pytest.raises(ValueError, match=rf"^rank must be >= 2, got {r}$"):
+                curve_invariants(X, r, 1)
+
+
 def test_curve_invariants_always_integral():
     for X in VARIETIES:
         for r in range(2, 51):

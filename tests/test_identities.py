@@ -23,9 +23,11 @@ from fano_acm import (  # noqa: E402
     BLOCKS,
     BlockId,
     ChernData,
+    Decomposition,
     FanoThreefold,
     Family,
     TwistOf,
+    admissible,
     block_chern,
     chi_twist,
     curve_invariants,
@@ -39,6 +41,7 @@ from fano_acm import (  # noqa: E402
     whitney_sum,
 )
 from fano_acm import rank2  # noqa: E402
+from fano_acm.acm import _SEEDS, _peel_counts, _seed_plan  # noqa: E402
 from fano_acm.catalog import _linear_in_d, _whitney_total  # noqa: E402
 
 
@@ -53,7 +56,8 @@ def _divides(m: int, e) -> bool:
 
 
 class Exact:
-    """An integer polynomial standing in for an int."""
+    """An integer polynomial standing in for an int; arithmetic keeps the
+    subclass."""
 
     def __init__(self, e):
         self.e = sp.expand(sp.sympify(e))
@@ -63,30 +67,30 @@ class Exact:
         return other.e if isinstance(other, Exact) else other
 
     def __add__(self, other):
-        return Exact(self.e + self._of(other))
+        return type(self)(self.e + self._of(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Exact(self.e - self._of(other))
+        return type(self)(self.e - self._of(other))
 
     def __rsub__(self, other):
-        return Exact(self._of(other) - self.e)
+        return type(self)(self._of(other) - self.e)
 
     def __mul__(self, other):
-        return Exact(self.e * self._of(other))
+        return type(self)(self.e * self._of(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Exact(-self.e)
+        return type(self)(-self.e)
 
     def __pow__(self, n: int):
-        return Exact(self.e**n)
+        return type(self)(self.e**n)
 
     def __floordiv__(self, m: int):
         assert _divides(m, self.e), f"{m} does not divide {self.e}"
-        return Exact(self.e / m)
+        return type(self)(self.e / m)
 
     def __mod__(self, m: int) -> int:
         return 0 if _divides(m, self.e) else 1
@@ -523,3 +527,136 @@ def test_serre_chern_of_the_forced_curve_has_the_forced_classes(case):
     assert serre_chern(V, rank, c1_, degree, genus) == ChernData(
         rank, c1_, forced_c2(V, rank, c1_), forced_c3(V, rank, c1_)
     )
+
+
+# --- the witness's peeling regimes ------------------------------------------------
+
+class Floored(Exact):
+    """An integer polynomial in nonnegative symbols standing in for an int
+    in one case of each floor division: ``// m`` floors when m divides the
+    polynomial less its constant term at every integer point, and a
+    comparison must hold at every point or at none, else TypeError."""
+
+    def __floordiv__(self, m: int):
+        const = self.e.as_coeff_Add()[0]
+        assert _divides(m, self.e - const), f"{m} does not divide {self.e - const}"
+        return Floored((self.e - const) / m + const // m)
+
+    def __eq__(self, other):
+        zero = sp.expand(self.e - self._of(other)).is_zero
+        if zero is None:
+            raise TypeError(f"cannot decide {self.e} == {self._of(other)}")
+        return zero
+
+    def __bool__(self):
+        return not self == 0
+
+    def __gt__(self, other):
+        return bool(self.e > self._of(other))
+
+    def __ge__(self, other):
+        return bool(self.e >= self._of(other))
+
+    def __int__(self):
+        assert self.e.is_Integer, self.e
+        return int(self.e)
+
+
+def _witness_counts(key, counts):
+    """witness()'s merge of the peeled counts (S_C(1), S_E(1), rank-d) into
+    the seed plan of the census row at key."""
+    peeled, out = (*counts, 0), []
+    for block, k, run in _seed_plan(key):
+        k += peeled[run]
+        if k:
+            out.append((block, k))
+    return tuple(out)
+
+
+def _stop(d, r, c, counts):
+    # witness()'s census key, less d, for these peeled counts
+    sc, se, rd = counts
+    return r - 2 * (sc + se) - d * rd, c - sc - 2 * se - rd
+
+
+def test_a_seed_plus_its_peeled_runs_has_the_rank_and_c1_peeled_back_to_it():
+    # any counts of the three peeled blocks merged into any census row: the
+    # sum has a rank and c1 whose census key, at those counts, is that row
+    a, b, c = (Floored(x + 1) for x in sp.symbols("a b c", integer=True, nonnegative=True))
+    for key in _SEEDS:
+        for counts in itertools.product((0, a), (0, b), (0, c)):
+            dec = Decomposition(counts=_witness_counts(key, counts))
+            assert _stop(key[0], dec.rank, dec.c1, counts) == key[1:], (key, counts)
+
+
+def _peel_cases(d: int) -> list[tuple[str, tuple[int, int, int], tuple, tuple]]:
+    """(regime, shape, r, c1) per case, r and c1 as the coefficients
+    (const, q, s) of const + q Q + s S; over all Q, S >= 0 the cases cover
+    every strictly admissible (r, c1) with r >= 8 on V_d.  shape says
+    which of the S_C(1), S_E(1) and rank-d counts is positive.
+
+    With u = r - c1 >= 0 and v = d c1 - r >= 0, _peel_counts's S_C(1)
+    count is the least of T1 = v // (d-2), T2 = (r-6) // 2 and T3 = u when
+    v >= d-2 and u >= 1, and 0 otherwise.  The cases are u = 0; u >= 1 with
+    v <= d-3; and, when the S_C(1) steps apply, T2 least, T3 < T2, or
+    T1 < T2.  Each writes r and c1 through a quotient Q, and a slack S
+    where one is left, with every remainder enumerated, and the slack's
+    residue where a floor division needs one."""
+    cases = []
+    for e in (0, 1):  # u = 0, r = 8 + 2Q + e
+        cases.append(("S_E(1)^b", (0, 1, 0), (8 + e, 2, 0), (8 + e, 2, 0)))
+    for e, v in itertools.product(range(d), range(d - 2)):  # r = 8 + dQ + e
+        if (8 + e + v) % d == 0:
+            cases.append(("rank-d^c", (0, 0, 1), (8 + e, d, 0), ((8 + e + v) // d, 1, 0)))
+    for e2 in (0, 1):  # r = 6 + 2 T2 + e2
+        # T2 = 1 + Q least and T3 = T2 + gap, where T1 >= T2 bounds the gap
+        for gap in range(0, (6 * d - 6 + (d - 1) * e2) // d + 1):
+            cases.append(("S_C(1)^a", (1, 0, 0), (8 + e2, 2, 0), (7 + e2 - gap, 1, 0)))
+        # T3 = 1 + Q and T2 = T3 + 1 + m S + sigma
+        m = (d - 2) // math.gcd(2 * (d - 1), d - 2)
+        for sigma in range(m):
+            cases.append(("S_C(1)^a S_E(1)^b", (1, 1, 0),
+                          (10 + 2 * sigma + e2, 2, 2 * m), (9 + 2 * sigma + e2, 1, 2 * m)))
+        # T1 = 1 + Q, v = (d-2) T1 + e1 and T2 = T1 + 1 + m S + sigma
+        m = d // math.gcd(2, d)
+        for sigma, e1 in itertools.product(range(m), range(d - 2)):
+            if (8 + 2 * sigma + e2 + e1) % d == 0:
+                cases.append(("S_C(1)^a rank-d^c", (1, 0, 1), (10 + 2 * sigma + e2, 2, 2 * m),
+                              (1 + (8 + 2 * sigma + e2 + e1) // d, 1, 2 * m // d)))
+    return cases
+
+
+def _at(coefficients, Q, S):
+    const, q, s = coefficients
+    return const + q * Q + s * S
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_peeling_regime_stops_at_a_census_seed(n):
+    # _peel_counts runs on symbolic (r, c1), one case of every floor division
+    # at a time.  Its counts have the regime's shape, they stop at a strictly
+    # admissible (r, c1) with 3 <= r <= 7, which is a census seed, and the
+    # seed plus the peeled blocks has the input's rank and c1.  Below rank 8
+    # nothing is peeled and the input is its own seed.
+    cases = _peel_cases(n)
+    reached = {(_at(r, Q, S), _at(c, Q, S)) for _, _, r, c in cases
+               for Q, S in itertools.product(range(40), repeat=2)}
+    strict = {(r, c) for r in range(8, 41) for c in range(-(-r // n), r + 1)}
+    assert strict <= reached and all(  # every input up to rank 40, and none outside
+        8 <= r and -(-r // n) <= c <= r for r, c in reached
+    )
+    Q, S = (Floored(x) for x in sp.symbols("Q S", integer=True, nonnegative=True))
+    X, regimes = FanoThreefold(n), set()
+    for regime, shape, r, c in cases:
+        r, c = _at(r, Q, S), _at(c, Q, S)
+        counts = _peel_counts(n, r, c)
+        assert all(k > 0 if want else k == 0 for k, want in zip(counts, shape)), regime
+        seed_r, seed_c = map(int, _stop(n, r, c, counts))
+        assert 3 <= seed_r <= 7 and admissible(X, seed_r, seed_c), (regime, seed_r, seed_c)
+        assert (n, seed_r, seed_c) in _SEEDS
+        dec = Decomposition(counts=_witness_counts((n, seed_r, seed_c), counts))
+        assert dec.rank == r and dec.c1 == c, regime
+        regimes.add(regime)
+    assert len(regimes) == 5
+    assert all(_peel_counts(n, r, c) == (0, 0, 0) and (n, r, c) in _SEEDS
+               for r in range(3, 8) for c in range(-(-r // n), r + 1))
